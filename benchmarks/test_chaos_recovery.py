@@ -7,9 +7,13 @@ worse, (c) return the link's SNR to its clean baseline once the faults
 clear, and (d) reproduce bit-identically from one master seed.
 """
 
+import dataclasses
+
 import numpy as np
 
+from repro.energy import outage
 from repro.experiments import chaos
+from repro.faults import SCENARIOS
 from conftest import record
 
 SEED = 7
@@ -29,8 +33,7 @@ def test_chaos_recovery_sweep(benchmark):
            + "\n\n" + "\n\n".join(chaos.render(o) for o in outcomes))
 
     by_name = {o.scenario: o for o in outcomes}
-    assert sorted(by_name) == ["blockage", "drift", "dropout",
-                               "interference", "kitchen-sink", "stuck-beam"]
+    assert sorted(by_name) == sorted(SCENARIOS)
 
     # (c) every fault class: post-fault SNR back within tolerance of the
     # clean baseline — the ladder actually recovers, never wedges.
@@ -58,6 +61,38 @@ def test_chaos_recovery_sweep(benchmark):
     kinds = by_name["kitchen-sink"].result.schedule.kinds()
     for kind in ("blockage", "interference", "dropout"):
         assert kind in kinds
+
+
+def test_energy_outage_means_dormant_not_dead():
+    """The energy-outage scenario darkens the harvesting field: nodes
+    that live on it go dormant, and nothing mistakes that for a death.
+
+    The link sweep runs an active node, whose data-link budget the
+    outage leaves untouched: the ladder must see nothing to recover
+    from.  The fleet drill replays the scenario's outage window on
+    harvesting nodes: they go dormant, and no failover fires.
+    """
+    link = chaos.run("energy-outage", seed=SEED)
+    schedule = link.result.schedule
+    assert schedule.kinds() == ("energy_outage",)
+    (event,) = schedule.events
+    mid_outage = event.start_s + event.duration_s / 2
+    assert schedule.disturbance_at(mid_outage).harvest_scale == 0.0
+    assert link.recovered
+    assert link.action_counts() == {}
+    assert link.result.adaptive_delivery_ratio \
+        == link.result.static_delivery_ratio
+
+    drill = outage.run_outage(dataclasses.replace(
+        outage.default_config(nodes=3, replicates=1),
+        outage_start_s=event.start_s,
+        outage_duration_s=event.duration_s,
+        severity=event.severity), master_seed=SEED).summary()
+    assert drill["dormant_fraction"] > 0.0
+    assert drill["dormant_holds"] >= 1
+    assert drill["silence_failovers"] == 0
+    assert drill["orphaned_nodes"] == 0
+    assert drill["reinit_attempts"] == 0
 
 
 def test_chaos_ladder_rungs_all_fire():

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 
 from repro.energy import compare, outage
-from repro.engine import SupervisedPool
+from repro.engine import ProcessPool, SupervisionPolicy
 
 from conftest import record
 
@@ -34,7 +34,8 @@ def test_compare_campaign_serial_parallel_identical():
     config = compare.default_config(replicates=2, num_bits=200)
     serial = compare.run_compare(config, master_seed=7)
     parallel = compare.run_compare(config, master_seed=7,
-                                   executor=SupervisedPool(jobs=3),
+                                   executor=ProcessPool(
+                                       jobs=3, policy=SupervisionPolicy()),
                                    num_shards=3)
     assert json.dumps(serial.rows()) == json.dumps(parallel.rows())
     record("energy_compare", compare.render(serial))
@@ -90,6 +91,7 @@ def test_outage_campaign_serial_parallel_identical():
     config = outage.default_config(nodes=3, replicates=2)
     serial = outage.run_outage(config, master_seed=3)
     parallel = outage.run_outage(config, master_seed=3,
-                                 executor=SupervisedPool(jobs=2),
+                                 executor=ProcessPool(
+                                     jobs=2, policy=SupervisionPolicy()),
                                  num_shards=2)
     assert json.dumps(serial.summary()) == json.dumps(parallel.summary())

@@ -11,9 +11,10 @@ the real fig11 trial function:
   campaign ends as an explicit :class:`PartialCampaignResult`, and the
   attempt/quarantine journal it leaves behind is archived to
   ``benchmarks/output/`` so CI uploads a real forensics artifact;
-* supervision is close to free: a fault-free supervised campaign costs
-  at most 5% wall-clock (plus a fixed epsilon for pool startup) over
-  the plain :class:`ProcessPool`.
+* supervision is close to free: a fault-free campaign under the default
+  retrying :class:`SupervisionPolicy` costs at most 5% wall-clock (plus
+  a fixed epsilon for pool startup) over the fail-fast
+  :class:`ProcessPool`.
 
 The correctness gates run everywhere (``--benchmark-disable`` in CI);
 the overhead gate compares two real process pools, so it skips on
@@ -31,7 +32,6 @@ from repro.engine import (
     PartialCampaignResult,
     ProcessPool,
     ResultStore,
-    SupervisedPool,
     SupervisionPolicy,
     WorkerFault,
     WorkerFaultSchedule,
@@ -62,7 +62,7 @@ def test_chaotic_campaign_recovers_every_trial():
         (3, 1): WorkerFault(kind="crash"),
         (3, 2): WorkerFault(kind="crash"),
     })
-    pool = SupervisedPool(
+    pool = ProcessPool(
         jobs=2, faults=faults,
         policy=SupervisionPolicy(max_attempts=2, backoff_base_s=0.01,
                                  shard_timeout_s=2.0,
@@ -100,7 +100,7 @@ def test_poison_shard_quarantine_journal_artifact(tmp_path):
         (1, 1): WorkerFault(kind="crash"),
         (1, 2): WorkerFault(kind="corrupt"),
     })
-    pool = SupervisedPool(
+    pool = ProcessPool(
         jobs=2, faults=faults,
         policy=SupervisionPolicy(max_attempts=2, backoff_base_s=0.01,
                                  on_failure="quarantine"))
@@ -148,7 +148,7 @@ def test_supervision_overhead_is_negligible():
     run_campaign(placement_trial, 2, num_shards=2,
                  executor=ProcessPool(jobs=2))
     run_campaign(placement_trial, 2, num_shards=2,
-                 executor=SupervisedPool(jobs=2))
+                 executor=ProcessPool(jobs=2, policy=SupervisionPolicy()))
 
     start = time.perf_counter()
     plain = run_campaign(placement_trial, OVERHEAD_TRIALS, master_seed=1,
@@ -158,7 +158,8 @@ def test_supervision_overhead_is_negligible():
     start = time.perf_counter()
     supervised = run_campaign(placement_trial, OVERHEAD_TRIALS,
                               master_seed=1, num_shards=4,
-                              executor=SupervisedPool(jobs=2))
+                              executor=ProcessPool(
+                                  jobs=2, policy=SupervisionPolicy()))
     supervised_s = time.perf_counter() - start
 
     assert [r.values for r in supervised.results] \

@@ -24,7 +24,6 @@ import pytest
 
 from repro.engine import ProcessPool, default_job_count, run_campaign
 from repro.experiments.fig11_ber_cdf import placement_trial
-from repro.sim.runner import MonteCarloRunner
 
 from conftest import OUTPUT_DIR, record
 
@@ -35,9 +34,9 @@ MIN_SPEEDUP = 2.0
 
 def test_sharded_process_pool_matches_serial():
     """The determinism contract, on the real fig11 trial function."""
-    serial = MonteCarloRunner(7).run(placement_trial, 24)
-    for shards, executor in ((1, None), (4, None),
-                             (4, ProcessPool(jobs=2))):
+    serial = run_campaign(placement_trial, 24, master_seed=7,
+                          num_shards=1).results
+    for shards, executor in ((4, None), (4, ProcessPool(jobs=2))):
         outcome = run_campaign(placement_trial, 24, master_seed=7,
                                num_shards=shards, executor=executor)
         assert [r.values for r in outcome.results] \

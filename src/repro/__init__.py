@@ -33,7 +33,7 @@ Layout
 ``repro.admission`` million-node spectrum/SDM admission control
 ``repro.energy``    node classes, backscatter tags, harvesting duty cycles
 ``repro.baselines`` beam-search baselines and Table 1 platforms
-``repro.sim``       rooms, blockers, mobility, placements, Monte Carlo
+``repro.sim``       rooms, blockers, mobility, placements, timelines
 ``repro.faults``    seeded fault-injection processes and schedules
 ``repro.resilience`` link health monitoring and the recovery ladder
 ``repro.transport`` reliable transport: ARQ, adaptive RTO, circuit breaker
@@ -122,7 +122,6 @@ from .resilience import (
 )
 from .sim import (
     Blocker,
-    MonteCarloRunner,
     Placement,
     PlacementSampler,
     Point,
@@ -189,7 +188,6 @@ __all__ = [
     "MetricsRegistry",
     "MmxAccessPoint",
     "MmxNode",
-    "MonteCarloRunner",
     "MultiNodeNetwork",
     "NODE_EIRP_DBM",
     "NodeClassSpec",

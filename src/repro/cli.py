@@ -44,12 +44,35 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .engine import ProcessPool, SupervisionPolicy
+
 __all__ = ["main", "build_parser"]
+
+
+def _add_campaign_flags(parser: argparse.ArgumentParser, jobs_help: str,
+                        sharded: bool = True) -> None:
+    """Declare ``--jobs`` and, for a ``sharded`` campaign command, the
+    ``--shards``/``--out``/``--resume`` flags that go with it."""
+    parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    if not sharded:
+        return
+    parser.add_argument("--shards", type=int, default=None,
+                        help="shard count (default: --jobs); results "
+                             "never depend on it")
+    parser.add_argument("--out", default=None,
+                        help="JSONL result-store path: completed shards "
+                             "are journaled here, crash-safely")
+    parser.add_argument("--resume", action="store_true",
+                        help="allow --out to already exist and resume "
+                             "the campaign it holds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the run's telemetry export as JSONL "
                             "on stdout instead of the text report")
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the '--scenario all' "
-                            "sweep (routed through repro.engine; other "
-                            "runs are single scenarios and stay serial)")
+    _add_campaign_flags(chaos, "worker processes for the '--scenario "
+                               "all' sweep (routed through repro.engine; "
+                               "other runs are single scenarios and stay "
+                               "serial)", sharded=False)
 
     adm = sub.add_parser(
         "admission",
@@ -116,18 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="independent trials per load point")
     sat.add_argument("--seed", type=int, default=0,
                      help="campaign master seed")
-    sat.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (1 = in-process serial; "
-                          ">1 runs supervised)")
-    sat.add_argument("--shards", type=int, default=None,
-                     help="shard count (default: --jobs); results "
-                          "never depend on it")
-    sat.add_argument("--out", default=None,
-                     help="JSONL result-store path: completed shards "
-                          "are journaled here, crash-safely")
-    sat.add_argument("--resume", action="store_true",
-                     help="allow --out to already exist and resume "
-                          "the campaign it holds")
+    _add_campaign_flags(sat, "worker processes (1 = in-process serial; "
+                             ">1 runs supervised)")
     sat.add_argument("--json", action="store_true", dest="as_json",
                      help="emit the saturation curve as JSON rows")
 
@@ -155,19 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(compare) or fleets (outage)")
         preset.add_argument("--seed", type=int, default=0,
                             help="campaign master seed")
-        preset.add_argument("--jobs", type=int, default=1,
-                            help="worker processes (1 = in-process "
-                                 "serial; >1 runs supervised)")
-        preset.add_argument("--shards", type=int, default=None,
-                            help="shard count (default: --jobs); "
-                                 "results never depend on it")
-        preset.add_argument("--out", default=None,
-                            help="JSONL result-store path: completed "
-                                 "shards are journaled here, "
-                                 "crash-safely")
-        preset.add_argument("--resume", action="store_true",
-                            help="allow --out to already exist and "
-                                 "resume the campaign it holds")
+        _add_campaign_flags(preset, "worker processes (1 = in-process "
+                                    "serial; >1 runs supervised)")
         preset.add_argument("--json", action="store_true",
                             dest="as_json",
                             help="emit the aggregate as JSON instead "
@@ -185,17 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "its grid, chaos runs every scenario)")
     camp.add_argument("--seed", type=int, default=0,
                       help="campaign master seed")
-    camp.add_argument("--jobs", type=int, default=1,
-                      help="worker processes (1 = in-process serial)")
-    camp.add_argument("--shards", type=int, default=None,
-                      help="shard count (default: --jobs); results "
-                           "never depend on it")
-    camp.add_argument("--out", default=None,
-                      help="JSONL result-store path: completed shards "
-                           "are journaled here, crash-safely")
-    camp.add_argument("--resume", action="store_true",
-                      help="allow --out to already exist and resume "
-                           "the campaign it holds")
+    _add_campaign_flags(camp, "worker processes (1 = in-process serial)")
     camp.add_argument("--duration", type=float, default=30.0,
                       help="simulated seconds per scenario "
                            "(chaos campaigns only)")
@@ -373,8 +365,7 @@ def _cmd_chaos(scenario: str, seed: int, duration: float,
     from .faults import SCENARIOS
     from .telemetry import Recorder, to_jsonl
 
-    if jobs < 1:
-        print("repro chaos: --jobs must be at least 1", file=sys.stderr)
+    if _invalid_flags("chaos", jobs):
         return 2
     # With --json every run records into one Recorder and the export —
     # the same deterministic JSONL the library writes — goes to stdout.
@@ -389,13 +380,9 @@ def _cmd_chaos(scenario: str, seed: int, duration: float,
             print(chaos.render_failover(outcome))
         return 0
     if scenario == "all":
-        executor = None
-        if jobs > 1:
-            from .engine import ProcessPool
-
-            executor = ProcessPool(jobs=jobs)
         outcomes = chaos.run_all(seed=seed, duration_s=duration,
-                                 telemetry=recorder, executor=executor)
+                                 telemetry=recorder,
+                                 executor=_build_executor(jobs))
         if recorder is not None:
             print(to_jsonl(recorder), end="")
         else:
@@ -419,37 +406,14 @@ def _cmd_admission_saturate(nodes: int, loads: list[float] | None,
                             replicates: int, seed: int, jobs: int,
                             shards: int | None, out: str | None,
                             resume: bool, as_json: bool) -> int:
-    from .engine import (EngineError, SerialExecutor, StoreError,
-                         SupervisedPool)
+    from .engine import EngineError, StoreError, SupervisionPolicy
 
-    if nodes < 1:
-        print("repro admission saturate: --nodes must be at least 1",
-              file=sys.stderr)
-        return 2
-    if replicates < 1:
-        print("repro admission saturate: --replicates must be at "
-              "least 1", file=sys.stderr)
-        return 2
-    if jobs < 1:
-        print("repro admission saturate: --jobs must be at least 1",
-              file=sys.stderr)
-        return 2
-    if shards is not None and shards < 1:
-        print("repro admission saturate: --shards must be at least 1",
-              file=sys.stderr)
-        return 2
-    if loads is not None and any(lo <= 0 for lo in loads):
-        print("repro admission saturate: --load points must be "
-              "positive", file=sys.stderr)
-        return 2
-    if resume and out is None:
-        print("repro admission saturate: --resume needs --out (the "
-              "store to resume from)", file=sys.stderr)
-        return 2
-    if out is not None and Path(out).exists() and not resume:
-        print(f"repro admission saturate: {out} already exists; pass "
-              "--resume to continue that campaign, or choose a fresh "
-              "path", file=sys.stderr)
+    if _invalid_flags(
+            "admission saturate", jobs, shards, out, resume,
+            checks=[(nodes < 1, "--nodes must be at least 1"),
+                    (replicates < 1, "--replicates must be at least 1"),
+                    (loads is not None and any(lo <= 0 for lo in loads),
+                     "--load points must be positive")]):
         return 2
 
     from .admission import default_config, render, run_saturation
@@ -458,15 +422,11 @@ def _cmd_admission_saturate(nodes: int, loads: list[float] | None,
     config = default_config(
         loads=tuple(loads) if loads is not None else DEFAULT_LOADS,
         replicates=replicates, arrivals=nodes)
-    # One supervised pool covers both the ISSUE's resumable-CLI ask and
-    # worker-crash tolerance; serial runs stay in-process.
-    executor: SerialExecutor | SupervisedPool
-    executor = SupervisedPool(jobs=jobs) if jobs > 1 else SerialExecutor()
-    num_shards = shards if shards is not None else jobs
+    executor = _build_executor(jobs, SupervisionPolicy())
     try:
         result = run_saturation(config, master_seed=seed,
                                 executor=executor,
-                                num_shards=num_shards, store=out)
+                                num_shards=shards, store=out)
     except (EngineError, StoreError) as exc:
         print(_campaign_diagnostic(exc, executor, out), file=sys.stderr)
         return 2
@@ -485,42 +445,18 @@ def _cmd_energy(command: str, replicates: int, seed: int, jobs: int,
                 shards: int | None, out: str | None, resume: bool,
                 as_json: bool, bits: int | None = None,
                 nodes: int | None = None) -> int:
-    from .engine import (EngineError, SerialExecutor, StoreError,
-                         SupervisedPool)
+    from .engine import EngineError, StoreError, SupervisionPolicy
 
-    if replicates < 1:
-        print(f"repro energy {command}: --replicates must be at "
-              "least 1", file=sys.stderr)
-        return 2
-    if jobs < 1:
-        print(f"repro energy {command}: --jobs must be at least 1",
-              file=sys.stderr)
-        return 2
-    if shards is not None and shards < 1:
-        print(f"repro energy {command}: --shards must be at least 1",
-              file=sys.stderr)
-        return 2
-    if bits is not None and bits < 1:
-        print("repro energy compare: --bits must be at least 1",
-              file=sys.stderr)
-        return 2
-    if nodes is not None and nodes < 1:
-        print("repro energy outage: --nodes must be at least 1",
-              file=sys.stderr)
-        return 2
-    if resume and out is None:
-        print(f"repro energy {command}: --resume needs --out (the "
-              "store to resume from)", file=sys.stderr)
-        return 2
-    if out is not None and Path(out).exists() and not resume:
-        print(f"repro energy {command}: {out} already exists; pass "
-              "--resume to continue that campaign, or choose a fresh "
-              "path", file=sys.stderr)
+    if _invalid_flags(
+            f"energy {command}", jobs, shards, out, resume,
+            checks=[(replicates < 1, "--replicates must be at least 1"),
+                    (bits is not None and bits < 1,
+                     "--bits must be at least 1"),
+                    (nodes is not None and nodes < 1,
+                     "--nodes must be at least 1")]):
         return 2
 
-    executor: SerialExecutor | SupervisedPool
-    executor = SupervisedPool(jobs=jobs) if jobs > 1 else SerialExecutor()
-    num_shards = shards if shards is not None else jobs
+    executor = _build_executor(jobs, SupervisionPolicy())
     try:
         if command == "compare":
             from .energy import compare
@@ -530,7 +466,7 @@ def _cmd_energy(command: str, replicates: int, seed: int, jobs: int,
                     replicates=replicates,
                     num_bits=bits if bits is not None else 400),
                 master_seed=seed, executor=executor,
-                num_shards=num_shards, store=out)
+                num_shards=shards, store=out)
             payload: object = result.rows()
             text = compare.render(result)
         else:
@@ -541,7 +477,7 @@ def _cmd_energy(command: str, replicates: int, seed: int, jobs: int,
                     nodes=nodes if nodes is not None else 6,
                     replicates=replicates),
                 master_seed=seed, executor=executor,
-                num_shards=num_shards, store=out)
+                num_shards=shards, store=out)
             payload = fleet.summary()
             text = outage.render(fleet)
     except (EngineError, StoreError) as exc:
@@ -564,67 +500,34 @@ def _cmd_campaign(experiment: str, trials: int | None, seed: int,
                   max_retries: int | None = None,
                   shard_timeout: float | None = None,
                   on_failure: str | None = None) -> int:
-    from .engine import (EngineError, ProcessPool, SerialExecutor,
-                         StoreError, SupervisedPool, SupervisionPolicy)
+    from .engine import EngineError, StoreError, SupervisionPolicy
 
-    if jobs < 1:
-        print("repro campaign: --jobs must be at least 1",
-              file=sys.stderr)
-        return 2
-    if shards is not None and shards < 1:
-        print("repro campaign: --shards must be at least 1",
-              file=sys.stderr)
-        return 2
-    if max_retries is not None and max_retries < 0:
-        print("repro campaign: --max-retries cannot be negative",
-              file=sys.stderr)
-        return 2
-    if shard_timeout is not None and shard_timeout <= 0:
-        print("repro campaign: --shard-timeout must be positive",
-              file=sys.stderr)
-        return 2
-    if resume and out is None:
-        print("repro campaign: --resume needs --out (the store to "
-              "resume from)", file=sys.stderr)
-        return 2
-    if out is not None:
-        if experiment == "chaos":
-            print("repro campaign: chaos outcomes are rich objects, "
-                  "not JSON rows; --out is not supported for the "
-                  "chaos sweep", file=sys.stderr)
-            return 2
-        if Path(out).exists() and not resume:
-            print(f"repro campaign: {out} already exists; pass "
-                  "--resume to continue that campaign, or choose a "
-                  "fresh path", file=sys.stderr)
-            return 2
-    if trials is not None and experiment == "fig10":
-        print("repro campaign: fig10's trial count is its placement "
-              "grid; --trials does not apply", file=sys.stderr)
+    if _invalid_flags(
+            "campaign", jobs, shards, out, resume,
+            checks=[(max_retries is not None and max_retries < 0,
+                     "--max-retries cannot be negative"),
+                    (shard_timeout is not None and shard_timeout <= 0,
+                     "--shard-timeout must be positive"),
+                    (out is not None and experiment == "chaos",
+                     "chaos outcomes are rich objects, not JSON rows; "
+                     "--out is not supported for the chaos sweep"),
+                    (trials is not None and experiment == "fig10",
+                     "fig10's trial count is its placement grid; "
+                     "--trials does not apply")]):
         return 2
 
-    supervised = (max_retries is not None or shard_timeout is not None
-                  or on_failure is not None)
-    executor: SerialExecutor | ProcessPool | SupervisedPool
-    if supervised:
-        from .engine import ON_FAILURE_MODES
-        from .engine.policy import OnFailure
-
-        mode: OnFailure = "quarantine"
-        for known in ON_FAILURE_MODES:
-            if on_failure == known:
-                mode = known
+    policy = None
+    if (max_retries is not None or shard_timeout is not None
+            or on_failure is not None):
         policy = SupervisionPolicy(
             max_attempts=(max_retries + 1 if max_retries is not None
                           else 3),
             shard_timeout_s=shard_timeout,
-            on_failure=mode)
-        executor = SupervisedPool(jobs=jobs, policy=policy)
-    elif jobs > 1:
-        executor = ProcessPool(jobs=jobs)
-    else:
-        executor = SerialExecutor()
-    num_shards = shards if shards is not None else jobs
+            on_failure=on_failure or "quarantine")
+    # A supervised run uses worker processes even at --jobs 1: only a
+    # separate process can be timed out.
+    executor = _build_executor(jobs, policy,
+                               always_pool=policy is not None)
 
     try:
         if experiment == "chaos":
@@ -632,12 +535,12 @@ def _cmd_campaign(experiment: str, trials: int | None, seed: int,
 
             print(chaos.render_all(chaos.run_all(
                 seed=seed, duration_s=duration, executor=executor,
-                num_shards=num_shards)))
+                num_shards=shards)))
         elif experiment == "fig10":
             from .experiments import fig10_snr_map
 
             print(fig10_snr_map.render(fig10_snr_map.run(
-                seed=seed, executor=executor, num_shards=num_shards,
+                seed=seed, executor=executor, num_shards=shards,
                 store=out)))
         elif experiment == "fig11":
             from .experiments import fig11_ber_cdf
@@ -645,14 +548,14 @@ def _cmd_campaign(experiment: str, trials: int | None, seed: int,
             print(fig11_ber_cdf.render(fig11_ber_cdf.run(
                 seed=seed,
                 num_placements=trials if trials is not None else 30,
-                executor=executor, num_shards=num_shards, store=out)))
+                executor=executor, num_shards=shards, store=out)))
         elif experiment == "fig13":
             from .experiments import fig13_multinode
 
             print(fig13_multinode.render(fig13_multinode.run(
                 seed=seed,
                 trials_per_count=trials if trials is not None else 30,
-                executor=executor, num_shards=num_shards, store=out)))
+                executor=executor, num_shards=shards, store=out)))
         else:
             raise AssertionError("unreachable")
     except (EngineError, StoreError) as exc:
@@ -680,6 +583,48 @@ def _cmd_campaign(experiment: str, trials: int | None, seed: int,
                   f"{where}", file=sys.stderr)
             return 1
     return 0
+
+
+def _invalid_flags(command: str, jobs: int, shards: int | None = None,
+                   out: str | None = None, resume: bool = False,
+                   checks: list[tuple[bool, str]] | None = None) -> bool:
+    """Print the first bad-flag message as ``repro <command>: ...``.
+
+    The campaign flags every executor-backed command shares are checked
+    first, then the command's own ``(failed, message)`` ``checks``,
+    then the ``--out``/``--resume`` pairing.  Returns whether a message
+    was printed (the command then exits 2).
+    """
+    problems = [
+        (jobs < 1, "--jobs must be at least 1"),
+        (shards is not None and shards < 1, "--shards must be at least 1"),
+        *(checks or []),
+        (resume and out is None,
+         "--resume needs --out (the store to resume from)"),
+        (out is not None and not resume and Path(out).exists(),
+         f"{out} already exists; pass --resume to continue that "
+         "campaign, or choose a fresh path"),
+    ]
+    for failed, message in problems:
+        if failed:
+            print(f"repro {command}: {message}", file=sys.stderr)
+            return True
+    return False
+
+
+def _build_executor(jobs: int, policy: SupervisionPolicy | None = None,
+                    always_pool: bool = False) -> ProcessPool | None:
+    """The executor a command's campaign runs on.
+
+    ``ProcessPool(jobs, policy)`` for more than one job (or whenever
+    ``always_pool``); otherwise ``None``, the library's in-process
+    serial default.  ``policy=None`` is the pool's fail-fast default.
+    """
+    if jobs == 1 and not always_pool:
+        return None
+    from .engine import ProcessPool
+
+    return ProcessPool(jobs=jobs, policy=policy)
 
 
 def _campaign_diagnostic(exc: Exception, executor: object,
@@ -767,8 +712,25 @@ def _cmd_lint(paths: list[str], as_json: bool, as_sarif: bool = False,
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes the pipe early (``repro reproduce | head``)
+    ends the command quietly with the shell's SIGPIPE status, 141.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the interpreter's final flush of
+        # whatever is still buffered cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "reproduce":
         return _cmd_reproduce(args.names)
     if args.command == "link":

@@ -1,14 +1,12 @@
 """``repro.engine`` — sharded, resumable Monte-Carlo campaign execution.
 
 Every paper figure is a Monte-Carlo sweep (30 placements in §9.3, 100
-runs in §9.5), and the serial
-:class:`~repro.sim.runner.MonteCarloRunner` bounds them all to one core.
-This package is the scale-out layer: it turns any
+runs in §9.5).  This package runs them all: it turns any
 ``trial_fn(rng, index) -> dict`` into a campaign that is
 
 * **sharded** — a :class:`CampaignPlan` spawns every trial's seed from
-  one ``SeedSequence`` (the runner's exact derivation) and partitions
-  trials into contiguous shards;
+  one ``SeedSequence`` and partitions trials into contiguous shards,
+  each run by :func:`run_shard`, the one loop over trials;
 * **parallel** — a :class:`ProcessPool` fans shards out across worker
   processes, with :class:`SerialExecutor` as the in-process reference;
 * **crash-safe** — a :class:`ResultStore` journals each completed shard
@@ -18,13 +16,14 @@ This package is the scale-out layer: it turns any
   per-shard telemetry snapshots in shard order, making aggregate
   results and telemetry exports byte-identical to a serial run for the
   same master seed and plan;
-* **supervised** — a :class:`SupervisedPool` survives worker crashes,
-  hangs and corrupt payloads: per-attempt deadlines (absolute and
-  adaptive), deterministic exponential backoff, validation of every
-  payload against the plan, quarantine of poison shards (the campaign
-  completes as an explicit :class:`PartialCampaignResult`), and an
-  optional in-process degrade fallback — chaos-tested by the seeded
-  worker-fault harness in :mod:`repro.engine.faults`.
+* **supervised** — ``ProcessPool(policy=SupervisionPolicy(...))``
+  survives worker crashes, hangs and corrupt payloads: per-attempt
+  deadlines (absolute and adaptive), deterministic exponential backoff,
+  validation of every payload against the plan, quarantine of poison
+  shards (the campaign completes as an explicit
+  :class:`PartialCampaignResult`), and an optional in-process degrade
+  fallback — chaos-tested by the seeded worker-fault harness in
+  :mod:`repro.engine.faults`.  Without a policy the pool fails fast.
 
 Usage
 -----
@@ -32,7 +31,7 @@ Usage
 >>> def trial(rng, index):
 ...     return {"x": float(rng.uniform())}
 >>> result = run_campaign(trial, num_trials=100, master_seed=7,
-...                       num_shards=8, executor=ProcessPool(jobs=4))
+...                       executor=ProcessPool(jobs=4))
 >>> result.summary("x")["mean"]  # doctest: +SKIP
 0.49...
 
@@ -68,12 +67,11 @@ from .pool import (
     ShardExecutor,
     default_job_count,
 )
-from .shard import ShardResult, TrialFn, run_shard
+from .shard import ShardResult, TrialFn, TrialResult, run_shard
 from .store import STORE_SCHEMA_VERSION, ResultStore, StoreError
 from .supervisor import (
     ShardSupervisor,
     ShardValidationError,
-    SupervisedPool,
     WorkBackend,
     seed_fingerprint,
     validate_shard_result,
@@ -99,10 +97,10 @@ __all__ = [
     "ShardSupervisor",
     "ShardValidationError",
     "StoreError",
-    "SupervisedPool",
     "SupervisionPolicy",
     "SupervisionReport",
     "TrialFn",
+    "TrialResult",
     "TrialSpec",
     "WORKER_FAULT_KINDS",
     "WorkBackend",

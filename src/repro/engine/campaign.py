@@ -27,24 +27,18 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from ..sim.runner import MonteCarloRunner, TrialResult
 from ..telemetry import NullRecorder, TelemetryRecorder
 from .plan import CampaignPlan
-from .policy import SupervisionReport
+from .policy import EngineError, SupervisionReport
 from .pool import SerialExecutor, ShardExecutor
-from .shard import ShardResult, TrialFn
+from .shard import ShardResult, TrialFn, TrialResult
 from .store import ResultStore
 
 __all__ = ["Campaign", "CampaignResult", "EngineError",
            "PartialCampaignResult", "run_campaign"]
-
-
-class EngineError(Exception):
-    """Raised when a campaign cannot run or resume coherently."""
 
 
 @dataclass(frozen=True)
@@ -61,11 +55,25 @@ class CampaignResult:
 
     def collect(self, key: str) -> np.ndarray:
         """One scalar metric across all trials, in index order."""
-        return MonteCarloRunner.collect(list(self.results), key)
+        return np.asarray([r.values[key] for r in self.results],
+                          dtype=float)
 
     def summary(self, key: str) -> dict[str, float]:
         """Mean / median / percentiles of ``key`` across trials."""
-        return MonteCarloRunner.summary(list(self.results), key)
+        x = self.collect(key)
+        if x.size == 0:
+            raise ValueError(
+                f"no results to summarise for {key!r}: the result "
+                "list is empty (summary statistics are undefined on "
+                "zero trials)")
+        return {
+            "mean": float(np.mean(x)),
+            "median": float(np.median(x)),
+            "p10": float(np.percentile(x, 10)),
+            "p90": float(np.percentile(x, 90)),
+            "min": float(np.min(x)),
+            "max": float(np.max(x)),
+        }
 
     @property
     def num_trials(self) -> int:
@@ -93,10 +101,24 @@ class PartialCampaignResult(CampaignResult):
     the campaign against the same result store retries *only* the
     quarantined shards, and a later full result is byte-identical to
     one that never saw a fault.
+
+    :meth:`collect` and :meth:`summary` raise :class:`EngineError`: an
+    aggregate over the surviving trials would be a silent number.  The
+    surviving trials stay readable through :attr:`results`.
     """
 
     quarantined_shards: tuple[int, ...] = ()
     missing_trials: tuple[int, ...] = ()
+
+    def collect(self, key: str) -> np.ndarray:
+        """Refuse: the campaign is missing trials."""
+        raise EngineError(
+            "campaign completed partially: shards "
+            f"{list(self.quarantined_shards)} were quarantined "
+            f"({len(self.missing_trials)} of {self.plan.num_trials} "
+            "trials missing); completed shards are journaled — re-run "
+            "to retry only the quarantined shards, or use "
+            "on_failure='degrade'")
 
     @property
     def is_partial(self) -> bool:
@@ -105,13 +127,20 @@ class PartialCampaignResult(CampaignResult):
 
 
 class Campaign:
-    """One sharded, resumable Monte-Carlo campaign."""
+    """One sharded, resumable Monte-Carlo campaign.
+
+    ``num_shards`` defaults to the executor's worker count (``jobs``),
+    or one shard for an executor without workers.  It never changes a
+    result, only how the work is cut.
+    """
 
     def __init__(self, trial_fn: TrialFn, num_trials: int,
-                 master_seed: int = 0, num_shards: int = 1,
+                 master_seed: int = 0, num_shards: int | None = None,
                  executor: ShardExecutor | None = None,
                  store: ResultStore | str | Path | None = None,
                  telemetry: TelemetryRecorder | None = None) -> None:
+        if num_shards is None:
+            num_shards = max(1, int(getattr(executor, "jobs", 1)))
         self.trial_fn = trial_fn
         self.plan = CampaignPlan.build(master_seed=master_seed,
                                        num_trials=num_trials,
@@ -131,16 +160,17 @@ class Campaign:
         ``progress`` (optional) fires with each :class:`ShardResult`
         the moment it completes — after it has been journaled, so a
         progress consumer never sees a shard the store could lose.
+        With ``num_shards == num_trials`` it fires once per trial: the
+        way to stream a long sweep's partial results.
         Raises :class:`EngineError` when a telemetry-enabled campaign
         resumes from a journal written without telemetry (the merged
         export would silently miss the resumed trials).
 
         Under a supervised executor (one exposing a
         :class:`~repro.engine.policy.SupervisionReport` as
-        ``last_report``, e.g.
-        :class:`~repro.engine.supervisor.SupervisedPool`), failed
-        attempts are journaled to the store as they happen, and a run
-        whose shards were quarantined returns an explicit
+        ``last_report``, i.e. :class:`~repro.engine.pool.ProcessPool`),
+        failed attempts are journaled to the store as they happen, and
+        a run whose shards were quarantined returns an explicit
         :class:`PartialCampaignResult` instead of raising.
         """
         record_telemetry = self.telemetry.enabled
@@ -237,7 +267,7 @@ class Campaign:
 
 
 def run_campaign(trial_fn: TrialFn, num_trials: int,
-                 master_seed: int = 0, num_shards: int = 1,
+                 master_seed: int = 0, num_shards: int | None = None,
                  executor: ShardExecutor | None = None,
                  store: ResultStore | str | Path | None = None,
                  telemetry: TelemetryRecorder | None = None,

@@ -31,12 +31,17 @@ from typing import Literal
 __all__ = [
     "FAILURE_KINDS",
     "ON_FAILURE_MODES",
+    "EngineError",
     "FailureKind",
     "OnFailure",
     "ShardFailure",
     "SupervisionPolicy",
     "SupervisionReport",
 ]
+
+class EngineError(Exception):
+    """Raised when a campaign cannot run or resume coherently."""
+
 
 OnFailure = Literal["fail", "quarantine", "degrade"]
 """What to do with a shard that exhausts its attempts: ``"fail"`` kills

@@ -8,9 +8,8 @@ the executor choice invisible in the results: a shard always sees the
 same seeds, runs the same trial function, and records the same
 telemetry shape.
 
-Telemetry mirrors :meth:`repro.sim.runner.MonteCarloRunner.run_stream`
-verb-for-verb (one ``sim.trial`` span, one ``sim.trials`` count, one
-``sim.trial`` event per trial) into a worker-local
+Telemetry is one ``sim.trial`` span, one ``sim.trials`` count and one
+``sim.trial`` event per trial, recorded into a worker-local
 :class:`~repro.telemetry.Recorder`, captured as a
 :class:`~repro.telemetry.TelemetrySnapshot` so the campaign can merge
 shard traces back into one byte-stable export.
@@ -19,6 +18,7 @@ shard traces back into one byte-stable export.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -26,13 +26,24 @@ import numpy as np
 from ..telemetry import Recorder, TelemetrySnapshot
 from .plan import ShardSpec
 
-__all__ = ["ShardResult", "TrialFn", "run_shard"]
+__all__ = ["ShardResult", "TrialFn", "TrialResult", "run_shard"]
 
 TrialFn = Callable[[np.random.Generator, int], dict[str, Any]]
-"""The campaign work unit: ``trial_fn(rng, index) -> dict`` — the same
-contract :class:`~repro.sim.runner.MonteCarloRunner` has always used.
-Under a :class:`~repro.engine.pool.ProcessPool` it must be picklable
-(a module-level function or a ``functools.partial`` over one)."""
+"""The campaign work unit: ``trial_fn(rng, index) -> dict``.  Under a
+:class:`~repro.engine.pool.ProcessPool` it must be picklable (a
+module-level function or a ``functools.partial`` over one)."""
+
+
+@dataclass(frozen=True)
+class TrialResult:
+    """One trial's outputs, tagged with its index and seed."""
+
+    index: int
+    seed: int
+    values: dict[str, Any]
+
+    def __getitem__(self, key: str) -> Any:
+        return self.values[key]
 
 
 class ShardResult:
@@ -64,9 +75,8 @@ def run_shard(trial_fn: TrialFn, shard: ShardSpec, of_total: int,
     """Execute every trial in ``shard`` against its planned seed.
 
     ``of_total`` is the campaign's full trial count — it only feeds the
-    ``of=`` field of each ``sim.trial`` telemetry event, keeping worker
-    events identical to what a serial
-    :class:`~repro.sim.runner.MonteCarloRunner` sweep would emit.
+    ``of=`` field of each ``sim.trial`` telemetry event, so every
+    shard's events are identical however the campaign is partitioned.
     """
     recorder = Recorder() if record_telemetry else None
     executed: list[tuple[int, int, dict[str, Any]]] = []

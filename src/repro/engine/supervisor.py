@@ -1,9 +1,9 @@
 """Supervised shard execution: deadlines, retries, quarantine, degrade.
 
-:class:`~repro.engine.pool.ProcessPool` assumes workers never crash,
-hang, or return garbage — the first exception anywhere kills the whole
-campaign iterator.  This module is the supervision layer that removes
-that assumption while preserving the engine's determinism contract:
+The loop :class:`~repro.engine.pool.ProcessPool` drives its workers
+through.  Workers crash, hang, and return garbage; this module is the
+supervision layer that copes with that while preserving the engine's
+determinism contract:
 
 * every attempt runs under a **deadline** — the tighter of the policy's
   absolute ``shard_timeout_s`` and an adaptive bound derived from
@@ -19,8 +19,9 @@ that assumption while preserving the engine's determinism contract:
   ``on_failure="quarantine"`` the campaign completes as an explicit
   :class:`~repro.engine.campaign.PartialCampaignResult`; under
   ``"degrade"`` quarantined shards get one last in-process serial
-  attempt; under ``"fail"`` the campaign dies (the old behaviour, but
-  with a diagnosable :class:`~repro.engine.campaign.EngineError`).
+  attempt; under ``"fail"`` the campaign dies with a diagnosable
+  :class:`~repro.engine.EngineError` raised from the worker's
+  exception (``ProcessPool``'s default, fail-fast policy).
 
 Determinism: supervision never touches seeds or merge order.  A retry
 re-runs the *same* :class:`~repro.engine.plan.ShardSpec` — same seeds,
@@ -29,9 +30,9 @@ a supervised campaign in which no fault fires is byte-identical to the
 :class:`~repro.engine.pool.SerialExecutor` reference.
 
 The wall clock appears in exactly one place (the process backend's
-``now_s``/``sleep``): deadlines and backoff are *executor* concerns,
-measured in real seconds, and never leak into results or sim-time
-telemetry.
+``now_s``/``sleep`` in :mod:`repro.engine.pool`): deadlines and backoff
+are *executor* concerns, measured in real seconds, and never leak into
+results or sim-time telemetry.
 """
 
 from __future__ import annotations
@@ -39,32 +40,26 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import time
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from typing import Protocol
 
 from ..telemetry import NullRecorder, TelemetryRecorder
-from .campaign import EngineError
-from .faults import WorkerFaultSchedule
 from .plan import ShardSpec
 from .policy import (
+    EngineError,
     FailureKind,
     ShardFailure,
     SupervisionPolicy,
     SupervisionReport,
     _ReportBuilder,
 )
-from .pool import default_job_count
-from .shard import ShardResult, TrialFn, run_shard
+from .shard import ShardResult
 
 __all__ = [
     "ShardSupervisor",
     "ShardValidationError",
-    "SupervisedPool",
     "SupervisionReport",
     "WorkBackend",
     "seed_fingerprint",
@@ -172,97 +167,6 @@ class WorkBackend(Protocol):
         ...
 
 
-class _ProcessBackend:
-    """The production backend: a process pool on the wall clock.
-
-    A timed-out attempt cannot be preempted mid-task (a
-    ``ProcessPoolExecutor`` future stops being cancellable once it
-    starts), so ``abandon`` cancels when possible and otherwise just
-    stops listening: the stuck task keeps its worker busy until it
-    returns, and its eventual (late) result is dropped.  The supervisor
-    keeps submitting regardless — the pool queues excess attempts — so
-    a hung worker costs throughput, never correctness.
-    """
-
-    def __init__(self, jobs: int, trial_fn: TrialFn, of_total: int,
-                 record_telemetry: bool,
-                 faults: WorkerFaultSchedule | None) -> None:
-        self.jobs = jobs
-        self.trial_fn = trial_fn
-        self.of_total = of_total
-        self.record_telemetry = record_telemetry
-        self.faults = faults
-        self._executor = ProcessPoolExecutor(max_workers=jobs)
-        self._live: set[Future[ShardResult]] = set()
-
-    @property
-    def slots(self) -> int:
-        return self.jobs
-
-    def now_s(self) -> float:
-        # The one sanctioned wall-clock read in the engine: deadlines
-        # supervise real worker processes, not simulated time.
-        return time.monotonic()  # reprolint: disable=DET001
-
-    def submit(self, shard: ShardSpec, attempt: int) -> object:
-        future = self._executor.submit(
-            _execute_attempt, self.trial_fn, shard, self.of_total,
-            self.record_telemetry, attempt, self.faults)
-        self._live.add(future)
-        return future
-
-    def wait(self, timeout_s: float | None) -> list[AttemptCompletion]:
-        done, _ = futures_wait(self._live, timeout=timeout_s,
-                               return_when=FIRST_COMPLETED)
-        completions: list[AttemptCompletion] = []
-        for future in done:
-            self._live.discard(future)
-            # A worker failure arrives as the future's exception; keep
-            # it as data for the retry ledger instead of letting it
-            # propagate (narrowing here would silently re-kill the
-            # campaign on any fault kind we did not anticipate).
-            try:
-                completions.append(AttemptCompletion(
-                    token=future, result=future.result()))
-            except Exception as exc:  # reprolint: disable=EXC001
-                completions.append(AttemptCompletion(
-                    token=future, error=exc))
-        return completions
-
-    def sleep(self, duration_s: float) -> None:
-        time.sleep(duration_s)
-
-    def abandon(self, token: object) -> None:
-        if isinstance(token, Future):
-            token.cancel()
-            self._live.discard(token)
-
-    def run_inline(self, shard: ShardSpec) -> ShardResult:
-        return run_shard(self.trial_fn, shard, self.of_total,
-                         record_telemetry=self.record_telemetry)
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
-
-
-def _execute_attempt(trial_fn: TrialFn, shard: ShardSpec, of_total: int,
-                     record_telemetry: bool, attempt: int,
-                     faults: WorkerFaultSchedule | None) -> ShardResult:
-    """Worker-process entry point: apply scripted faults, run the shard.
-
-    With ``faults=None`` (or a schedule that skips this attempt) this is
-    exactly :func:`~repro.engine.shard.run_shard` — the fault-free
-    supervised path computes the same bytes as the unsupervised one.
-    """
-    if faults is not None:
-        faults.apply_before(shard.shard_id, attempt)
-    result = run_shard(trial_fn, shard, of_total,
-                       record_telemetry=record_telemetry)
-    if faults is not None:
-        result = faults.apply_after(result, attempt)
-    return result
-
-
 @dataclass
 class _Running:
     """Book-keeping for one in-flight attempt."""
@@ -323,8 +227,8 @@ class ShardSupervisor:
         quarantined: dict[int, ShardSpec] = {}
 
         def fail_attempt(shard: ShardSpec, attempt: int,
-                         kind: FailureKind, detail: str, now: float
-                         ) -> None:
+                         kind: FailureKind, detail: str, now: float,
+                         cause: BaseException | None = None) -> None:
             nonlocal retry_seq
             failure = ShardFailure(shard_id=shard.shard_id,
                                    attempt=attempt, kind=kind,
@@ -344,7 +248,7 @@ class ShardSupervisor:
                     raise EngineError(
                         f"shard {shard.shard_id} failed "
                         f"{policy.max_attempts} attempt(s); last "
-                        f"failure: {kind} ({detail})")
+                        f"failure: {kind} ({detail})") from cause
                 quarantined[shard.shard_id] = shard
                 ledger.quarantined.append(shard.shard_id)
                 tel.count("engine.shard.quarantined")
@@ -384,14 +288,15 @@ class ShardSupervisor:
                 state = running.pop(completion.token)
                 if completion.error is not None:
                     fail_attempt(state.shard, state.attempt, "error",
-                                 repr(completion.error), now)
+                                 repr(completion.error), now,
+                                 cause=completion.error)
                     continue
                 assert completion.result is not None
                 try:
                     validate_shard_result(completion.result, state.shard)
                 except ShardValidationError as exc:
                     fail_attempt(state.shard, state.attempt, "invalid",
-                                 str(exc), now)
+                                 str(exc), now, cause=exc)
                     continue
                 runtimes.append(max(0.0, now - state.started_s))
                 if tel.enabled:
@@ -470,76 +375,3 @@ class ShardSupervisor:
                 tel.count("engine.supervisor.degraded")
                 tel.event("engine.supervisor.degraded", shard=shard_id)
             yield result
-
-
-class SupervisedPool:
-    """A fault-tolerant :class:`~repro.engine.pool.ShardExecutor`.
-
-    Drop-in for :class:`~repro.engine.pool.ProcessPool`: same
-    ``run_shards`` contract, same determinism (identical results when
-    no fault fires), but worker crashes, hangs and corrupt payloads are
-    retried, quarantined, or degraded per ``policy`` instead of killing
-    the campaign.  ``faults`` attaches a
-    :class:`~repro.engine.faults.WorkerFaultSchedule` for chaos testing
-    the supervisor itself.
-
-    After each ``run_shards`` drive, :attr:`last_report` carries the
-    run's :class:`~repro.engine.policy.SupervisionReport`;
-    :class:`~repro.engine.Campaign` reads it to decide between a full
-    and a :class:`~repro.engine.campaign.PartialCampaignResult`.
-    """
-
-    def __init__(self, jobs: int | None = None,
-                 policy: SupervisionPolicy | None = None,
-                 faults: WorkerFaultSchedule | None = None,
-                 telemetry: TelemetryRecorder | None = None) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError("a supervised pool needs at least one "
-                             "worker")
-        self.jobs = jobs if jobs is not None else default_job_count()
-        self.policy = policy if policy is not None else SupervisionPolicy()
-        self.faults = faults
-        self.telemetry = (telemetry if telemetry is not None
-                          else NullRecorder())
-        self.last_report: SupervisionReport | None = None
-        self._failure_sink: Callable[[ShardFailure], None] | None = None
-
-    def attach_failure_sink(
-            self, sink: Callable[[ShardFailure], None] | None) -> None:
-        """Route every :class:`~repro.engine.policy.ShardFailure` to
-        ``sink`` as it happens — the hook
-        :class:`~repro.engine.Campaign` uses to journal failed attempts
-        into the :class:`~repro.engine.store.ResultStore`."""
-        self._failure_sink = sink
-
-    def run_shards(self, trial_fn: TrialFn,
-                   shards: Sequence[ShardSpec], of_total: int,
-                   record_telemetry: bool = False
-                   ) -> Iterator[ShardResult]:
-        """Supervised shard fan-out; yields results in completion order.
-
-        Unlike :class:`~repro.engine.pool.ProcessPool`, a worker
-        failure does not propagate (unless ``policy.on_failure`` is
-        ``"fail"`` and a shard exhausts its attempts): failed attempts
-        retry with backoff, and shards that never succeed are reported
-        via :attr:`last_report` rather than raised.
-        """
-        self.last_report = None
-        workers = min(self.jobs, len(shards)) if shards else 0
-        if workers == 0:
-            self.last_report = _ReportBuilder().build()
-            return
-        backend = _ProcessBackend(workers, trial_fn, of_total,
-                                  record_telemetry, self.faults)
-        supervisor = ShardSupervisor(self.policy,
-                                     telemetry=self.telemetry,
-                                     failure_sink=self._failure_sink)
-        try:
-            yield from supervisor.run(backend, shards)
-        finally:
-            self.last_report = supervisor.report
-
-    def __repr__(self) -> str:
-        return (f"SupervisedPool(jobs={self.jobs}, "
-                f"on_failure={self.policy.on_failure!r}, "
-                f"faulted={self.faults is not None})")

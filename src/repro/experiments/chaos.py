@@ -171,8 +171,6 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
                        distance_m=distance_m,
                        record_telemetry=bool(tel is not None
                                              and tel.enabled))
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     outcome = Campaign(trial_fn, len(names), master_seed=seed,
                        num_shards=num_shards, executor=executor).run()
     results: list[ChaosRunResult] = []

@@ -144,8 +144,6 @@ def run(seed: int = 0, grid_step_m: float = 0.5,
                        blocker_position=(float(blocker_position[0]),
                                          float(blocker_position[1])),
                        num_carriers=num_carriers)
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     outcome = Campaign(trial_fn, int(xs.size * ys.size), master_seed=seed,
                        num_shards=num_shards, executor=executor,
                        store=store).run()

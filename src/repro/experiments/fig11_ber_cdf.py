@@ -106,8 +106,6 @@ def run(seed: int = 0, num_placements: int = 30,
                        blocker_position=(float(blocker_position[0]),
                                          float(blocker_position[1])),
                        num_carriers=num_carriers)
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     outcome = Campaign(trial_fn, num_placements, master_seed=seed,
                        num_shards=num_shards, executor=executor,
                        store=store).run()

@@ -86,8 +86,6 @@ def run(seed: int = 0, node_counts=NODE_COUNTS,
     counts = tuple(int(n) for n in node_counts)
     trial_fn = partial(network_trial, node_counts=counts,
                        trials_per_count=trials_per_count)
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     outcome = Campaign(trial_fn, len(counts) * trials_per_count,
                        master_seed=seed, num_shards=num_shards,
                        executor=executor, store=store).run()

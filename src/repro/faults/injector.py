@@ -2,8 +2,8 @@
 
 :class:`FaultInjector` owns the RNG discipline: one master seed spawns
 one independent child stream per process (the same
-``np.random.SeedSequence`` pattern as :class:`repro.sim.runner.
-MonteCarloRunner`), so adding, removing or reordering one process never
+``np.random.SeedSequence`` pattern as :class:`repro.engine.
+CampaignPlan`), so adding, removing or reordering one process never
 perturbs the draws of another, and an entire chaos campaign regenerates
 bit-identically from a single integer.
 
@@ -150,8 +150,8 @@ class FaultInjector:
 
         Every process gets its own child generator spawned from the
         master seed, so the draw streams are independent and stable
-        under process list edits (matching ``MonteCarloRunner``'s
-        discipline).
+        under process list edits (matching ``CampaignPlan``'s
+        per-trial seed discipline).
 
         ``quiet_tail_s`` reserves a fault-free window at the end of the
         run (events are generated over the shortened horizon and

@@ -5,8 +5,8 @@ of a given duration.  Stochastic processes (Poisson blocker crossings,
 random brown-outs) draw every random quantity from the generator they
 are *handed* — they own no RNG state — so the :class:`~repro.faults.
 injector.FaultInjector` can apply the same one-master-seed, one-child-
-stream-per-process discipline as :class:`repro.sim.runner.
-MonteCarloRunner` and every chaos run regenerates bit-identically.
+stream-per-process discipline as :class:`repro.engine.
+CampaignPlan` and every chaos run regenerates bit-identically.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Simulation substrate: room geometry, placements, mobility, Monte Carlo.
+"""Simulation substrate: room geometry, placements, mobility, timelines.
 
 The paper's experiments run in a 6 m x 4 m lab with furniture and walking
 people (section 9).  This subpackage provides the synthetic equivalent:
 a 2-D room whose walls act as mmWave reflectors, circular human blockers
 (static or walking), placement samplers matching the paper's protocol
-(random locations, orientations in -60..60 degrees), and a seeded
-Monte-Carlo runner.
+(random locations, orientations in -60..60 degrees), and a link
+timeline simulator.  Seeded Monte-Carlo sweeps over these run as
+:mod:`repro.engine` campaigns.
 """
 
 from .environment import Wall, Blocker, Room, default_lab_room
@@ -20,14 +21,12 @@ from .geometry import (
 )
 from .mobility import RandomWaypoint, LinearCrossing, WalkingBlocker
 from .placement import PlacementSampler, Placement
-from .runner import MonteCarloRunner, TrialResult
 from .timeline import LinkTrace, TimelineSimulator
 
 __all__ = [
     "Blocker",
     "LinearCrossing",
     "LinkTrace",
-    "MonteCarloRunner",
     "Placement",
     "PlacementSampler",
     "Point",
@@ -35,7 +34,6 @@ __all__ = [
     "Room",
     "Segment",
     "TimelineSimulator",
-    "TrialResult",
     "WalkingBlocker",
     "Wall",
     "angle_of",

@@ -391,17 +391,37 @@ class TestBatchedReadmission:
 
 class TestSaturationCampaign:
     def test_serial_vs_supervised_byte_identical(self):
-        from repro.engine import SerialExecutor, SupervisedPool
+        from repro.engine import (ProcessPool, SerialExecutor,
+                                  SupervisionPolicy)
 
         config = default_config(loads=(0.5, 3.0), replicates=2,
                                 arrivals=80)
         serial = run_saturation(config, master_seed=7,
                                 executor=SerialExecutor(), num_shards=1)
         parallel = run_saturation(config, master_seed=7,
-                                  executor=SupervisedPool(jobs=2),
+                                  executor=ProcessPool(
+                                      jobs=2, policy=SupervisionPolicy()),
                                   num_shards=4)
         assert serial.curve() == parallel.curve()
         assert serial.churn_ops == parallel.churn_ops
+
+    def test_quarantined_shard_is_an_engine_error_not_a_curve(self):
+        from repro.engine import (EngineError, ProcessPool,
+                                  SupervisionPolicy, WorkerFault,
+                                  WorkerFaultSchedule)
+
+        config = default_config(loads=(0.5, 3.0), replicates=2,
+                                arrivals=40)
+        pool = ProcessPool(
+            jobs=2,
+            policy=SupervisionPolicy(max_attempts=1,
+                                     on_failure="quarantine"),
+            faults=WorkerFaultSchedule(
+                faults={(1, 1): WorkerFault(kind="crash")}))
+        with pytest.raises(EngineError, match=r"shards \[1\] were "
+                                              r"quarantined"):
+            run_saturation(config, master_seed=7, executor=pool,
+                           num_shards=2)
 
     def test_blocking_grows_with_load(self):
         config = SaturationConfig(loads=(0.25, 8.0), replicates=2,

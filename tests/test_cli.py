@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -131,6 +137,21 @@ class TestCommands:
     def test_reproduce_unknown_fails(self, capsys):
         assert main(["reproduce", "fig99"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # `repro reproduce table1 | head -0`: the reader is gone before
+        # the first write lands.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "reproduce", "table1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
     def test_link_clear(self, capsys):
         assert main(["link", "--distance", "2.5"]) == 0

@@ -2,8 +2,9 @@
 
 The load-bearing guarantees under test:
 
-* the engine's seed derivation is the runner's, so campaign trials see
-  the exact RNG streams a serial sweep would;
+* the engine's seed derivation is one ``SeedSequence`` child per
+  trial, so campaign trials see the exact RNG streams a hand-rolled
+  serial sweep would;
 * results and merged telemetry exports are byte-identical across shard
   counts and executors;
 * a killed campaign resumes from its journal executing only the
@@ -14,7 +15,6 @@ The load-bearing guarantees under test:
 from __future__ import annotations
 
 import functools
-import gc
 import json
 import time
 from pathlib import Path
@@ -34,9 +34,17 @@ from repro.engine import (
     run_campaign,
     run_shard,
 )
-from repro.sim.runner import MonteCarloRunner
 from repro.telemetry import Recorder
 from repro.telemetry.export import to_jsonl
+
+
+def serial_sweep(trial_fn, num_trials, master_seed):
+    """The reference serial sweep: one ``SeedSequence`` child per trial,
+    each driving a fresh ``default_rng``."""
+    children = np.random.SeedSequence(master_seed).spawn(num_trials)
+    seeds = [int(child.generate_state(1)[0]) for child in children]
+    return [(seed, trial_fn(np.random.default_rng(seed), index))
+            for index, seed in enumerate(seeds)]
 
 
 def uniform_trial(rng, index):
@@ -70,7 +78,8 @@ class TestCampaignPlan:
     def test_seeds_match_runner_derivation(self):
         plan = CampaignPlan.build(master_seed=7, num_trials=10,
                                   num_shards=3)
-        runner_seeds = MonteCarloRunner(7).child_seeds(10)
+        runner_seeds = [seed for seed, _ in
+                        serial_sweep(uniform_trial, 10, master_seed=7)]
         plan_seeds = [t.seed for shard in plan.shards
                       for t in shard.trials]
         assert plan_seeds == runner_seeds
@@ -137,14 +146,12 @@ class TestRunShard:
 
 class TestCampaignDeterminism:
     def test_matches_plain_runner_exactly(self):
-        serial = MonteCarloRunner(11).run(uniform_trial, 12)
+        serial = serial_sweep(uniform_trial, 12, master_seed=11)
         for shards in (1, 4, 12):
             outcome = run_campaign(uniform_trial, 12, master_seed=11,
                                    num_shards=shards)
-            assert [r.values for r in outcome.results] \
-                == [r.values for r in serial]
-            assert [r.seed for r in outcome.results] \
-                == [r.seed for r in serial]
+            assert [(r.seed, r.values) for r in outcome.results] \
+                == serial
 
     def test_process_pool_matches_serial(self):
         reference = run_campaign(uniform_trial, 10, master_seed=2,
@@ -156,7 +163,8 @@ class TestCampaignDeterminism:
 
     def test_merged_telemetry_export_is_byte_identical(self):
         tel_serial = Recorder()
-        MonteCarloRunner(5, telemetry=tel_serial).run(uniform_trial, 8)
+        run_campaign(uniform_trial, 8, master_seed=5, num_shards=1,
+                     telemetry=tel_serial)
         tel_campaign = Recorder()
         run_campaign(uniform_trial, 8, master_seed=5, num_shards=4,
                      telemetry=tel_campaign)
@@ -350,58 +358,56 @@ class TestEngineErrors:
         # tail must not.
         trial = functools.partial(marker_trial,
                                   marker_dir=str(tmp_path))
-        with pytest.raises(RuntimeError, match="trial 0"):
+        with pytest.raises(EngineError, match="trial 0") as raised:
             run_campaign(trial, 6, num_shards=6,
                          executor=ProcessPool(jobs=1))
+        assert isinstance(raised.value.__cause__, RuntimeError)
         started = {p.name for p in tmp_path.iterdir()}
         assert "trial-0.started" in started
         assert not started & {"trial-4.started", "trial-5.started"}
 
 
 class TestRunnerIntegration:
+    """The campaign is the Monte-Carlo runner: defaults, streaming
+    progress, journaling and summaries all go through it."""
+
     def test_runner_executor_path_matches_serial(self):
-        runner = MonteCarloRunner(13)
-        serial = runner.run(uniform_trial, 9)
-        engine = runner.run(uniform_trial, 9,
-                            executor=SerialExecutor(), num_shards=3)
-        assert [r.values for r in engine] == [r.values for r in serial]
+        serial = run_campaign(uniform_trial, 9, master_seed=13)
+        engine = run_campaign(uniform_trial, 9, master_seed=13,
+                              executor=SerialExecutor(), num_shards=3)
+        assert serial.plan.num_shards == 1
+        assert [r.values for r in engine.results] \
+            == [r.values for r in serial.results]
 
     def test_runner_progress_in_index_order_under_executor(self):
+        # One trial per shard: the per-shard hook streams every trial.
         seen = []
-        MonteCarloRunner(0).run(uniform_trial, 6,
-                                progress=lambda r: seen.append(r.index),
-                                executor=SerialExecutor(),
-                                num_shards=3)
+        Campaign(uniform_trial, 6, num_shards=6,
+                 executor=SerialExecutor()).run(
+            progress=lambda shard: seen.extend(
+                index for index, _, _ in shard.trials))
         assert seen == list(range(6))
 
     def test_runner_store_only_path_uses_engine(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
-        runner = MonteCarloRunner(1)
-        stored = runner.run(uniform_trial, 4, store=store_path)
+        stored = run_campaign(uniform_trial, 4, master_seed=1,
+                              store=store_path)
         assert store_path.exists()
-        assert [r.values for r in stored] \
-            == [r.values for r in runner.run(uniform_trial, 4)]
+        assert [r.values for r in stored.results] \
+            == [r.values for r in
+                run_campaign(uniform_trial, 4, master_seed=1).results]
 
     def test_empty_summary_message_names_the_key(self):
         with pytest.raises(ValueError,
                            match=r"no results to summarise for 'snr'"):
-            MonteCarloRunner.summary([], "snr")
+            run_campaign(uniform_trial, 0).summary("snr")
 
-
-class TestStreamAbandonment:
-    def test_abandoned_stream_leaves_no_open_spans(self):
-        tel = Recorder()
-        runner = MonteCarloRunner(0, telemetry=tel)
-        stream = runner.run_stream(uniform_trial, 10)
-        for _ in range(3):
-            next(stream)
-        del stream
-        gc.collect()
-        assert tel.tracer.open_count == 0
-        trial_spans = [s for s in tel.tracer.finished
-                       if s.name == "sim.trial"]
-        assert len(trial_spans) == 3
-        assert [s.attrs["index"] for s in trial_spans] == [0, 1, 2]
+    def test_shard_count_defaults_to_the_executor_jobs(self):
+        assert Campaign(uniform_trial, 8).plan.num_shards == 1
+        assert Campaign(uniform_trial, 8, executor=ProcessPool(jobs=3)
+                        ).plan.num_shards == 3
+        assert Campaign(uniform_trial, 8, num_shards=2,
+                        executor=ProcessPool(jobs=3)).plan.num_shards == 2
 
 
 class TestExperimentCampaigns:

@@ -30,12 +30,12 @@ from repro.engine import (
     EngineError,
     InjectedWorkerCrash,
     PartialCampaignResult,
+    ProcessPool,
     ResultStore,
     SerialExecutor,
     ShardResult,
     ShardSupervisor,
     ShardValidationError,
-    SupervisedPool,
     SupervisionPolicy,
     WorkerFault,
     WorkerFaultSchedule,
@@ -46,13 +46,12 @@ from repro.engine import (
     validate_shard_result,
 )
 from repro.engine.supervisor import AttemptCompletion
-from repro.sim.runner import MonteCarloRunner
 from repro.telemetry import Recorder
 from repro.telemetry.export import to_jsonl
 
 
 def uniform_trial(rng, index):
-    """Module-level so SupervisedPool workers can unpickle it."""
+    """Module-level so ProcessPool workers can unpickle it."""
     return {"x": float(rng.uniform()), "index": index}
 
 
@@ -552,26 +551,29 @@ class TestKillResumeByteIdentity:
 
 
 class TestSupervisedPool:
-    """The production process backend, end to end (kept tiny)."""
+    """``ProcessPool`` under a supervision policy, end to end (kept
+    tiny)."""
 
     def test_fault_free_supervised_matches_serial_exactly(self):
         tel_serial = Recorder()
-        serial = MonteCarloRunner(5, telemetry=tel_serial).run(
-            uniform_trial, 8)
-        tel_pool = Recorder()
-        pooled = run_campaign(uniform_trial, 8, master_seed=5,
-                              num_shards=4,
-                              executor=SupervisedPool(jobs=2),
-                              telemetry=tel_pool)
-        assert not pooled.is_partial
-        assert [(r.seed, r.values) for r in pooled.results] \
-            == [(r.seed, r.values) for r in serial]
-        assert to_jsonl(tel_pool) == to_jsonl(tel_serial)
+        serial = run_campaign(uniform_trial, 8, master_seed=5,
+                              num_shards=1, telemetry=tel_serial)
+        for policy in (None, SupervisionPolicy()):
+            tel_pool = Recorder()
+            pooled = run_campaign(uniform_trial, 8, master_seed=5,
+                                  num_shards=4,
+                                  executor=ProcessPool(jobs=2,
+                                                       policy=policy),
+                                  telemetry=tel_pool)
+            assert not pooled.is_partial
+            assert [(r.seed, r.values) for r in pooled.results] \
+                == [(r.seed, r.values) for r in serial.results]
+            assert to_jsonl(tel_pool) == to_jsonl(tel_serial)
 
     def test_injected_crash_is_retried_to_a_full_result(self):
         faults = WorkerFaultSchedule(
             faults={(0, 1): WorkerFault(kind="crash")})
-        pool = SupervisedPool(
+        pool = ProcessPool(
             jobs=2, faults=faults,
             policy=SupervisionPolicy(max_attempts=2,
                                      backoff_base_s=0.01))
@@ -592,7 +594,7 @@ class TestSupervisedPool:
         faults = WorkerFaultSchedule(
             faults={(1, a): WorkerFault(kind="crash")
                     for a in (1, 2)})
-        pool = SupervisedPool(
+        pool = ProcessPool(
             jobs=2, faults=faults,
             policy=SupervisionPolicy(max_attempts=2,
                                      backoff_base_s=0.01,
@@ -627,27 +629,37 @@ class TestSupervisedPool:
     def test_runner_surfaces_partial_results_loudly(self):
         faults = WorkerFaultSchedule(
             faults={(0, 1): WorkerFault(kind="crash")})
-        runner = MonteCarloRunner(4)
-        pool = SupervisedPool(
+        pool = ProcessPool(
             jobs=2, faults=faults,
             policy=SupervisionPolicy(max_attempts=1,
                                      on_failure="quarantine"))
+        outcome = run_campaign(uniform_trial, 6, master_seed=4,
+                               num_shards=3, executor=pool)
+        with pytest.raises(EngineError, match=r"completed partially: "
+                                              r"shards \[0\]"):
+            outcome.collect("x")
         with pytest.raises(EngineError, match="completed partially"):
-            runner.run(uniform_trial, 6, executor=pool, num_shards=3)
-
-        pool = SupervisedPool(
-            jobs=2, faults=faults,
-            policy=SupervisionPolicy(max_attempts=1,
-                                     on_failure="quarantine"))
-        surviving = runner.run(uniform_trial, 6, executor=pool,
-                               num_shards=3, allow_partial=True)
-        assert [r.index for r in surviving] == [2, 3, 4, 5]
+            outcome.summary("x")
+        assert [r.index for r in outcome.results] == [2, 3, 4, 5]
 
     def test_pool_validates_jobs_and_reports_empty_runs(self):
         with pytest.raises(ValueError):
-            SupervisedPool(jobs=0)
-        pool = SupervisedPool(jobs=2)
+            ProcessPool(jobs=0)
+        pool = ProcessPool(jobs=2, policy=SupervisionPolicy())
         assert list(pool.run_shards(uniform_trial, [], 0)) == []
         assert pool.last_report is not None
         assert pool.last_report.attempts == 0
         assert "on_failure='quarantine'" in repr(pool)
+        assert "on_failure='fail'" in repr(ProcessPool(jobs=2))
+
+    def test_fail_fast_pool_raises_engine_error_from_the_crash(self):
+        faults = WorkerFaultSchedule(
+            faults={(1, 1): WorkerFault(kind="crash")})
+        pool = ProcessPool(jobs=2, faults=faults)
+        with pytest.raises(EngineError,
+                           match="InjectedWorkerCrash") as raised:
+            run_campaign(uniform_trial, 6, num_shards=3, executor=pool)
+        assert isinstance(raised.value.__cause__, InjectedWorkerCrash)
+        assert pool.last_report is not None
+        assert pool.last_report.attempts <= 3
+        assert pool.last_report.retries == 0

@@ -1,4 +1,5 @@
-"""Tests for mobility models, placement sampling and the MC runner."""
+"""Tests for mobility models, placement sampling and Monte-Carlo
+campaigns over them."""
 
 import math
 
@@ -12,7 +13,7 @@ from repro.sim.mobility import (
     WalkingBlocker,
     los_blocker_between,
 )
-from repro.sim.runner import MonteCarloRunner
+from repro.engine import run_campaign
 
 
 class TestRandomWaypoint:
@@ -138,15 +139,15 @@ class TestMonteCarloRunner:
         def trial(rng, index):
             return {"value": float(rng.uniform())}
 
-        a = MonteCarloRunner(master_seed=7).run(trial, 10)
-        b = MonteCarloRunner(master_seed=7).run(trial, 10)
+        a = run_campaign(trial, 10, master_seed=7).results
+        b = run_campaign(trial, 10, master_seed=7).results
         assert [r["value"] for r in a] == [r["value"] for r in b]
 
     def test_trials_independent(self):
         def trial(rng, index):
             return {"value": float(rng.uniform())}
 
-        results = MonteCarloRunner(0).run(trial, 20)
+        results = run_campaign(trial, 20).results
         values = [r["value"] for r in results]
         assert len(set(values)) == 20
 
@@ -154,8 +155,7 @@ class TestMonteCarloRunner:
         def trial(rng, index):
             return {"x": float(index)}
 
-        results = MonteCarloRunner(0).run(trial, 11)
-        stats = MonteCarloRunner.summary(results, "x")
+        stats = run_campaign(trial, 11).summary("x")
         assert stats["mean"] == pytest.approx(5.0)
         assert stats["median"] == pytest.approx(5.0)
         assert stats["min"] == 0.0
@@ -165,13 +165,12 @@ class TestMonteCarloRunner:
         def trial(rng, index):
             return {"x": index * 2}
 
-        results = MonteCarloRunner(0).run(trial, 3)
-        assert list(MonteCarloRunner.collect(results, "x")) == [0, 2, 4]
+        assert list(run_campaign(trial, 3).collect("x")) == [0, 2, 4]
 
     def test_non_dict_trial_rejected(self):
         with pytest.raises(TypeError):
-            MonteCarloRunner(0).run(lambda rng, i: 42, 1)
+            run_campaign(lambda rng, i: 42, 1)
 
     def test_empty_summary_rejected(self):
         with pytest.raises(ValueError):
-            MonteCarloRunner.summary([], "x")
+            run_campaign(lambda rng, i: {"x": 1.0}, 0).summary("x")

@@ -422,31 +422,22 @@ class TestStackInstrumentation:
         assert outages[0].duration_s > 0
 
     def test_monte_carlo_trials_become_spans(self):
-        from repro.sim.runner import MonteCarloRunner
+        from repro.engine import Campaign
 
         rec = Recorder()
-        runner = MonteCarloRunner(master_seed=7, telemetry=rec)
 
         def trial(rng, index):
-            rec.clock.advance(0.5)
             return {"x": float(rng.random())}
 
         seen = []
-        results = runner.run(trial, 4, progress=seen.append)
-        assert [r.index for r in seen] == [0, 1, 2, 3]
-        assert results == seen
+        outcome = Campaign(trial, 4, master_seed=7, num_shards=4,
+                           telemetry=rec).run(
+            progress=lambda shard: seen.extend(
+                index for index, _, _ in shard.trials))
+        assert seen == [0, 1, 2, 3]
+        assert [r.index for r in outcome.results] == seen
         trial_spans = [s for s in rec.tracer.finished
                        if s.name == "sim.trial"]
         assert len(trial_spans) == 4
         assert rec.metrics.counter("sim.trials").value == 4
         assert len([e for e in rec.events if e.name == "sim.trial"]) == 4
-
-    def test_run_stream_yields_incrementally(self):
-        from repro.sim.runner import MonteCarloRunner
-
-        runner = MonteCarloRunner(master_seed=1)
-        stream = runner.run_stream(
-            lambda rng, index: {"v": index}, 3)
-        first = next(stream)
-        assert first.values == {"v": 0}
-        assert [r.values["v"] for r in stream] == [1, 2]
