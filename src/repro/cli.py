@@ -52,6 +52,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .engine import ProcessPool, SupervisionPolicy
 
 __all__ = ["main", "build_parser"]
@@ -246,13 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_reproduce(names: list[str]) -> int:
+def _reproduce_registry() -> dict[str, Callable[[], str]]:
+    """Experiment name -> thunk rendering it, in ``repro list`` order."""
     from .experiments import (ablations, chaos, extensions, fig06_tma,
                               fig07_vco, fig08_patterns, fig09_waveforms,
                               fig10_snr_map, fig11_ber_cdf, fig12_range,
                               fig13_multinode, table1)
 
-    registry = {
+    return {
         "fig06": lambda: fig06_tma.render(fig06_tma.run()),
         "fig07": lambda: fig07_vco.render(fig07_vco.run()),
         "fig08": lambda: fig08_patterns.render(fig08_patterns.run()),
@@ -278,6 +281,10 @@ def _cmd_reproduce(names: list[str]) -> int:
         ]),
         "chaos": lambda: chaos.render_all(chaos.run_all()),
     }
+
+
+def _cmd_reproduce(names: list[str]) -> int:
+    registry = _reproduce_registry()
     chosen = names or list(registry)
     unknown = [n for n in chosen if n not in registry]
     if unknown:
@@ -767,7 +774,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_lint(args.paths, args.as_json, args.as_sarif,
                          args.changed_only)
     if args.command == "list":
-        print("fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 "
-              "table1 ablations extensions chaos")
+        print(" ".join(_reproduce_registry()))
         return 0
     raise AssertionError("unreachable")

@@ -33,13 +33,7 @@ from .coding import (
     deinterleave,
 )
 from .envelope import envelope_detect, automatic_gain_control, threshold_levels
-from .filters import (
-    moving_average,
-    fir_lowpass,
-    apply_fir,
-    decimate,
-    exponential_smooth,
-)
+from .filters import moving_average
 from .goertzel import goertzel_power, goertzel_block_powers
 from .impairments import (
     apply_cfo,
@@ -61,13 +55,6 @@ from .snr import (
     estimate_snr_two_level,
     estimate_snr_from_evm,
 )
-from .spectrum import (
-    adjacent_channel_leakage_db,
-    check_emission_mask,
-    occupied_bandwidth_hz,
-    power_in_band_fraction,
-    power_spectral_density,
-)
 from .timing import estimate_timing_offset, align_to_bits, timing_metric
 from .waveform import (
     Waveform,
@@ -85,10 +72,8 @@ __all__ = [
     "RepetitionCode",
     "Waveform",
     "add_awgn",
-    "adjacent_channel_leakage_db",
     "align_to_bits",
     "apply_cfo",
-    "apply_fir",
     "apply_iq_imbalance",
     "apply_phase_noise",
     "automatic_gain_control",
@@ -104,29 +89,22 @@ __all__ = [
     "bytes_to_bits",
     "carrier",
     "cfo_tolerance_hz",
-    "check_emission_mask",
     "correlate_preamble",
     "crc16_ccitt",
-    "decimate",
     "default_preamble_bits",
     "deinterleave",
     "envelope_detect",
     "estimate_snr_from_evm",
     "estimate_snr_two_level",
     "estimate_timing_offset",
-    "exponential_smooth",
-    "fir_lowpass",
     "goertzel_block_powers",
     "goertzel_power",
     "interleave",
     "locate_preamble",
     "moving_average",
     "noise_figure_cascade_db",
-    "occupied_bandwidth_hz",
     "ook_waveform",
     "pack_uint",
-    "power_in_band_fraction",
-    "power_spectral_density",
     "qfunc",
     "qfunc_inv",
     "quantize",

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _reproduce_registry, build_parser, main
 
 
 class TestParser:
@@ -128,6 +128,8 @@ class TestCommands:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig10" in out and "table1" in out
+        # `list` prints exactly the names `reproduce` accepts.
+        assert set(out.split()) == set(_reproduce_registry())
 
     def test_reproduce_single(self, capsys):
         assert main(["reproduce", "table1"]) == 0

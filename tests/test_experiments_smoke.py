@@ -6,6 +6,8 @@ that renders return non-empty text, and that results are deterministic
 per seed.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,42 @@ class TestExperimentSmoke:
         assert extensions.render_60ghz(band)
         counts = extensions.run_motivation()
         assert counts["mmx"] > counts["wifi"]
+
+
+class TestExperimentsRecord:
+    """EXPERIMENTS.md's measured columns are what the code prints."""
+
+    @staticmethod
+    def _table_rows(heading: str) -> dict[str, list[str]]:
+        text = (Path(__file__).parents[1] / "EXPERIMENTS.md").read_text()
+        section = text.split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("|") and not set(cells[0]) <= {"-"}:
+                rows[cells[0]] = cells
+        return rows
+
+    def test_fig11_measured_columns_match_run(self):
+        rows = self._table_rows("Fig. 11")
+        assert rows["percentile"][3:5] == ["measured w/", "measured w/o"]
+        result = fig11_ber_cdf.run()
+
+        def printed(ber: float) -> str:
+            if ber <= fig11_ber_cdf.BER_FLOOR:
+                return "≤1e-15"
+            return f"{ber:.1e}"
+
+        def documented(cell: str) -> str:
+            return cell if cell.startswith("≤") else f"{float(cell):.1e}"
+
+        expected = {
+            "median": (result.median_with(), result.median_without()),
+            "90th": (result.p90_with(), result.p90_without()),
+        }
+        for label, bers in expected.items():
+            assert [documented(c) for c in rows[label][3:5]] == \
+                [printed(b) for b in bers], label
 
 
 class TestDeterminism:

@@ -1,20 +1,13 @@
-"""Tests for the MAC layer and the USRP receiver model."""
+"""Tests for the MAC layer."""
 
 import numpy as np
 import pytest
 
-from repro.channel.multipath import ChannelResponse
-from repro.core.ask_fsk import AskFskConfig
-from repro.core.demodulator import JointDemodulator
-from repro.core.otam import OtamModulator
-from repro.hardware.usrp import UsrpReceiver
 from repro.network.mac import (
     PacketQueue,
     TdmaSchedule,
     UplinkSimulator,
 )
-from repro.phy.bits import random_bits
-from repro.phy.preamble import default_preamble_bits
 
 
 class TestPacketQueue:
@@ -121,49 +114,3 @@ class TestUplinkSimulator:
             self._sim(1.5)
         with pytest.raises(ValueError):
             self._sim(1.0).run(0.0, 0.01)
-
-
-class TestUsrpReceiver:
-    def _capture_pair(self, rng, receiver):
-        cfg = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=16e6)
-        bits = np.concatenate([default_preamble_bits(),
-                               random_bits(96, rng)])
-        mod = OtamModulator(cfg, eirp_dbm=0.0)
-        clean = mod.received_waveform(
-            bits, ChannelResponse(h1=1.0, h0=0.15, paths=()))
-        return cfg, bits, receiver.capture(clean, rng)
-
-    def test_default_receiver_decodes_cleanly(self, rng):
-        cfg, bits, capture = self._capture_pair(rng, UsrpReceiver())
-        result = JointDemodulator(cfg).demodulate(capture)
-        n = min(bits.size, result.bits.size)
-        assert int(np.count_nonzero(bits[:n] != result.bits[:n])) == 0
-
-    def test_dirty_receiver_still_decodes(self, rng):
-        rx = UsrpReceiver(adc_bits=8, lo_offset_hz=50e3,
-                          lo_linewidth_hz=2e3)
-        cfg, bits, capture = self._capture_pair(rng, rx)
-        result = JointDemodulator(cfg).demodulate(capture)
-        n = min(bits.size, result.bits.size)
-        assert int(np.count_nonzero(bits[:n] != result.bits[:n])) == 0
-
-    def test_quantisation_grid_applied(self, rng):
-        rx = UsrpReceiver(adc_bits=4, antialias_fraction=1.0)
-        _, _, capture = self._capture_pair(rng, rx)
-        # 4-bit I samples take at most 16 distinct values.
-        assert np.unique(capture.samples.real).size <= 16
-
-    def test_agc_normalises_scale(self, rng):
-        rx = UsrpReceiver()
-        cfg = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=16e6)
-        mod = OtamModulator(cfg, eirp_dbm=-40.0)  # tiny input
-        wave = mod.received_waveform(
-            random_bits(64, rng), ChannelResponse(h1=1.0, h0=0.2, paths=()))
-        capture = rx.capture(wave, rng)
-        assert float(np.abs(capture.samples).max()) > 0.05
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            UsrpReceiver(adc_bits=0)
-        with pytest.raises(ValueError):
-            UsrpReceiver(antialias_fraction=0.0)

@@ -35,60 +35,6 @@ class TestMovingAverage:
             F.moving_average(np.ones(4), 0)
 
 
-class TestFirLowpass:
-    def test_passband_gain_near_unity(self):
-        taps = F.fir_lowpass(1e6, 8e6, 63)
-        # DC gain.
-        assert np.sum(taps) == pytest.approx(1.0, abs=1e-3)
-
-    def test_attenuates_out_of_band_tone(self):
-        fs = 8e6
-        taps = F.fir_lowpass(5e5, fs, 101)
-        t = np.arange(4000) / fs
-        in_band = np.cos(2 * np.pi * 1e5 * t)
-        out_band = np.cos(2 * np.pi * 3e6 * t)
-        y_in = F.apply_fir(in_band, taps)
-        y_out = F.apply_fir(out_band, taps)
-        assert y_out[500:-500].std() < 0.01 * y_in[500:-500].std()
-
-    def test_invalid_cutoff(self):
-        with pytest.raises(ValueError):
-            F.fir_lowpass(5e6, 8e6)
-
-    def test_too_few_taps(self):
-        with pytest.raises(ValueError):
-            F.fir_lowpass(1e5, 8e6, num_taps=1)
-
-
-class TestDecimate:
-    def test_factor_one_is_copy(self):
-        x = np.arange(10, dtype=float)
-        assert F.decimate(x, 1) == pytest.approx(x)
-
-    def test_length_reduced(self):
-        x = np.random.default_rng(0).standard_normal(1000)
-        assert F.decimate(x, 4).size == 250
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            F.decimate(np.ones(8), 0)
-
-
-class TestExponentialSmooth:
-    def test_alpha_one_is_identity(self):
-        x = np.array([3.0, 1.0, 4.0])
-        assert F.exponential_smooth(x, 1.0) == pytest.approx(x)
-
-    def test_tracks_step(self):
-        x = np.concatenate([np.zeros(10), np.ones(200)])
-        y = F.exponential_smooth(x, 0.2)
-        assert y[-1] == pytest.approx(1.0, abs=1e-3)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            F.exponential_smooth(np.ones(4), 0.0)
-
-
 class TestEnvelope:
     def test_recovers_two_levels(self):
         t = np.arange(160) / 8e6

@@ -142,6 +142,14 @@ class TestDemodulatorUnderImpairments:
         bits, wave = self._clean_capture(rng, config)
         assert self._errors(config, bits, I.quantize(wave, 8)) == 0
 
+    def test_survives_combined_receiver_dirt(self, rng):
+        # All at once, in receive-chain order: a 50 kHz LO offset, a
+        # 2 kHz oscillator linewidth, then an 8-bit ADC.
+        config = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=16e6)
+        bits, wave = self._clean_capture(rng, config)
+        dirty = I.apply_phase_noise(I.apply_cfo(wave, 50e3), 2e3, rng)
+        assert self._errors(config, bits, I.quantize(dirty, 8)) == 0
+
     def test_survives_iq_imbalance(self, rng):
         config = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6)
         bits, wave = self._clean_capture(rng, config)

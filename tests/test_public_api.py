@@ -8,7 +8,11 @@ re-exports the advertised entry points.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,17 @@ class TestImportsAndExports:
 
     def test_version(self):
         assert repro.__version__
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal costs about a second to import; only the Welch
+        # reference in repro.phy.spectrum needs it, and nothing on the
+        # `import repro` path imports that module.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        probe = "import sys, repro; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestDocstrings:
