@@ -22,6 +22,7 @@ of Fig. 8 drops out of the geometry with no phase shifters anywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,7 @@ class ParametricBeam:
         return db_to_amplitude(self.power_db(theta_rad))
 
 
+@functools.lru_cache(maxsize=8)
 def measured_mmx_beams(peak_gain_dbi: float = 8.0) -> OrthogonalBeamPair:
     """The node beams as a parametric fit to the *measured* Fig. 8 cut.
 
@@ -152,6 +154,11 @@ def measured_mmx_beams(peak_gain_dbi: float = 8.0) -> OrthogonalBeamPair:
     edge that the node's quoted 120° FoV holds.  The links use this
     pair by default — evaluation should run against the measured
     antenna, not its idealisation.
+
+    The pair is frozen and depends only on ``peak_gain_dbi``, so it is
+    built once per process and per gain: repeated calls return the same
+    object.  The cache keeps the last few gains asked for; experiments
+    use one or two.
     """
     beam1 = ParametricBeam(
         lobes=((0.0, 40.0),),

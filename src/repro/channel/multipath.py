@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim.geometry import Point, normalize_angle
+from ..sim.geometry import Point, normalize_angles
 from ..units import amplitude_to_db, db_to_amplitude, wavelength
 from .pathloss import free_space_path_loss_db, oxygen_absorption_db
 from .raytrace import PropagationPath, trace_paths
 
-__all__ = ["ChannelResponse", "beam_channel_gain", "two_beam_gains"]
+__all__ = ["ChannelResponse", "PathArrays", "beam_channel_gain",
+           "two_beam_gains", "two_beam_response"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,61 @@ class ChannelResponse:
         return max(abs(self.h1), abs(self.h0))
 
 
+@dataclass(frozen=True)
+class PathArrays:
+    """Traced paths as parallel arrays, in path order."""
+
+    length_m: np.ndarray
+    departure_bearing_rad: np.ndarray
+    arrival_bearing_rad: np.ndarray
+    excess_loss_db: np.ndarray
+
+    @classmethod
+    def of(cls, paths) -> PathArrays:
+        """The arrays of a sequence of :class:`PropagationPath` (or
+        ``paths`` itself when it already is a :class:`PathArrays`)."""
+        if isinstance(paths, PathArrays):
+            return paths
+        paths = tuple(paths)
+        return cls(
+            np.array([p.length_m for p in paths], dtype=float),
+            np.array([p.departure_bearing_rad for p in paths], dtype=float),
+            np.array([p.arrival_bearing_rad for p in paths], dtype=float),
+            np.array([p.excess_loss_db for p in paths], dtype=float))
+
+    def propagation(self, frequency_hz: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each path's ``(amplitude, rotation)`` between isotropic antennas.
+
+        ``amplitude = 10^(-(FSPL + O2 + excess) / 20)`` and ``rotation =
+        exp(-j 2 pi L / lambda)``; a beam's path term is ``g_tx * g_rx *
+        amplitude * rotation``.
+        """
+        loss_db = (free_space_path_loss_db(self.length_m, frequency_hz)
+                   + oxygen_absorption_db(self.length_m, frequency_hz)
+                   + self.excess_loss_db)
+        lam = float(wavelength(frequency_hz))
+        phase = -2.0 * np.pi * self.length_m / lam
+        return db_to_amplitude(-loss_db), np.exp(1j * phase)
+
+
+def _sum_paths(g_tx, g_rx, amplitude: np.ndarray,
+               rotation: np.ndarray) -> complex:
+    """``sum_p g_tx g_rx a_p e^(j phi_p)`` in path order.
+
+    A path is dropped where either pattern is not positive.  The sum
+    runs sequentially (``cumsum``), not pairwise, so it adds the terms
+    in the order a per-path loop would.
+    """
+    g_tx = np.asarray(g_tx, dtype=float)
+    g_rx = np.asarray(g_rx, dtype=float)
+    dropped = (g_tx <= 0.0) | (g_rx <= 0.0)
+    terms = np.where(dropped, 0.0, (g_tx * g_rx * amplitude) * rotation)
+    if terms.size == 0:
+        return 0j
+    return complex(np.cumsum(terms)[-1])
+
+
 def beam_channel_gain(paths, tx_field, rx_field,
                       tx_orientation_rad: float,
                       rx_orientation_rad: float,
@@ -95,31 +151,47 @@ def beam_channel_gain(paths, tx_field, rx_field,
     Parameters
     ----------
     paths:
-        Iterable of :class:`PropagationPath`.
+        A sequence of :class:`PropagationPath` or their
+        :class:`PathArrays`.
     tx_field, rx_field:
-        Callables mapping an antenna-relative angle [rad] to *field
-        amplitude* relative to each pattern's peak (1.0 at peak).
+        Callables mapping an array of antenna-relative angles [rad] to
+        *field amplitude* relative to each pattern's peak (1.0 at peak).
     tx_orientation_rad, rx_orientation_rad:
         Absolute boresight bearings of node and AP antennas.
     frequency_hz:
         Carrier frequency, for the phase term and FSPL.
     """
-    lam = float(wavelength(frequency_hz))
-    total = 0.0 + 0.0j
-    for p in paths:
-        dep = normalize_angle(p.departure_bearing_rad - tx_orientation_rad)
-        arr = normalize_angle(p.arrival_bearing_rad - rx_orientation_rad)
-        g_tx = float(np.asarray(tx_field(dep), dtype=float))
-        g_rx = float(np.asarray(rx_field(arr), dtype=float))
-        if g_tx <= 0.0 or g_rx <= 0.0:
-            continue
-        loss_db = (float(free_space_path_loss_db(p.length_m, frequency_hz))
-                   + float(oxygen_absorption_db(p.length_m, frequency_hz))
-                   + p.excess_loss_db)
-        amplitude = g_tx * g_rx * float(db_to_amplitude(-loss_db))
-        phase = -2.0 * np.pi * p.length_m / lam
-        total += amplitude * np.exp(1j * phase)
-    return complex(total)
+    arrays = PathArrays.of(paths)
+    dep = normalize_angles(arrays.departure_bearing_rad
+                           - tx_orientation_rad)
+    arr = normalize_angles(arrays.arrival_bearing_rad - rx_orientation_rad)
+    return _sum_paths(tx_field(dep), rx_field(arr),
+                      *arrays.propagation(frequency_hz))
+
+
+def two_beam_response(paths, beams, ap_element,
+                      node_orientation_rad: float,
+                      ap_orientation_rad: float,
+                      frequency_hz: float) -> ChannelResponse:
+    """Evaluate both node beams over already-traced paths.
+
+    Path geometry does not depend on the carrier, so one traced path
+    set serves every carrier (and every beam pair) at a placement.
+    ``beams`` is an :class:`repro.antenna.OrthogonalBeamPair`;
+    ``ap_element`` anything with a ``field(theta)`` method (the AP
+    dipole).
+    """
+    paths = tuple(paths)
+    arrays = PathArrays.of(paths)
+    dep = normalize_angles(arrays.departure_bearing_rad
+                           - node_orientation_rad)
+    g_rx = ap_element.field(
+        normalize_angles(arrays.arrival_bearing_rad - ap_orientation_rad))
+    propagation = arrays.propagation(frequency_hz)
+    return ChannelResponse(
+        h1=_sum_paths(beams.field(1, dep), g_rx, *propagation),
+        h0=_sum_paths(beams.field(0, dep), g_rx, *propagation),
+        paths=paths)
 
 
 def two_beam_gains(node_position: Point, ap_position: Point, room,
@@ -133,16 +205,8 @@ def two_beam_gains(node_position: Point, ap_position: Point, room,
     ``beams`` is an :class:`repro.antenna.OrthogonalBeamPair`;
     ``ap_element`` anything with a ``field(theta)`` method (the AP dipole).
     """
-    paths = tuple(trace_paths(node_position, ap_position, room,
-                              max_bounces=max_bounces))
-    gains = {}
-    for bit in (0, 1):
-        gains[bit] = beam_channel_gain(
-            paths,
-            tx_field=lambda theta, b=bit: beams.field(b, theta),
-            rx_field=ap_element.field,
-            tx_orientation_rad=node_orientation_rad,
-            rx_orientation_rad=ap_orientation_rad,
-            frequency_hz=frequency_hz,
-        )
-    return ChannelResponse(h1=gains[1], h0=gains[0], paths=paths)
+    paths = trace_paths(node_position, ap_position, room,
+                        max_bounces=max_bounces)
+    return two_beam_response(paths, beams, ap_element,
+                             node_orientation_rad, ap_orientation_rad,
+                             frequency_hz)

@@ -26,7 +26,11 @@ import numpy as np
 
 from ..antenna.element import DipoleElement
 from ..antenna.orthogonal import OrthogonalBeamPair, measured_mmx_beams
-from ..channel.multipath import ChannelResponse, two_beam_gains
+from ..channel.multipath import (
+    ChannelResponse,
+    two_beam_gains,
+    two_beam_response,
+)
 from ..channel.noise import complex_awgn, noise_power_dbm
 from ..channel.pathloss import friis_received_power_dbm
 from ..constants import (
@@ -352,8 +356,21 @@ class OtamLink:
 
     # --- channel ------------------------------------------------------------
 
-    def channel_response(self) -> ChannelResponse:
-        """Trace the room and evaluate both beams for this placement."""
+    def channel_response(self, paths=None) -> ChannelResponse:
+        """Evaluate both beams for this placement.
+
+        ``paths`` are the placement's traced paths, from
+        ``trace_paths(node, ap, room, max_bounces=self.max_bounces)``.
+        Geometry does not depend on the carrier, so a sweep over
+        carriers traces once and hands the same paths to each carrier's
+        link.  Without them the room is traced here.
+        """
+        if paths is not None:
+            return two_beam_response(
+                paths, self.beams, self.ap_element,
+                node_orientation_rad=self.placement.node_orientation_rad,
+                ap_orientation_rad=self.placement.ap_orientation_rad,
+                frequency_hz=self.frequency_hz)
         return two_beam_gains(
             self.placement.node_position,
             self.placement.ap_position,

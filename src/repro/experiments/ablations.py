@@ -26,7 +26,7 @@ from ..baselines.beam_search import (
     FeedbackBeamSelection,
     HierarchicalBeamSearch,
 )
-from ..channel.multipath import beam_channel_gain
+from ..channel.multipath import PathArrays, beam_channel_gain
 from ..channel.raytrace import trace_paths
 from ..core.link import OtamLink
 from ..sim.environment import default_lab_room
@@ -359,8 +359,9 @@ def run_oracle_comparison(seed: int = 0, num_placements: int = 120,
         # Oracle: evaluate every codebook beam through the same traced
         # channel; take the best.  Gain above the mmX arrays' 8 dBi is
         # credited relative to the same EIRP budget.
-        paths = trace_paths(placement.node_position, placement.ap_position,
-                            room, max_bounces=link.max_bounces)
+        paths = PathArrays.of(trace_paths(
+            placement.node_position, placement.ap_position, room,
+            max_bounces=link.max_bounces))
         best_level = float("-inf")
         for pattern in steered:
             gain = beam_channel_gain(

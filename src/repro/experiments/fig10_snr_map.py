@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from ..channel.raytrace import trace_paths
 from ..constants import EVAL_ROOM_LENGTH_M, EVAL_ROOM_WIDTH_M
 from ..core.link import OtamLink
 from ..engine import Campaign, ResultStore, ShardExecutor
@@ -79,9 +80,10 @@ def grid_cell_trial(rng: np.random.Generator, index: int,
     ``index`` is the row-major cell number (``iy * len(xs) + ix``).
     Cells inside the standing person's footprint return ``None`` for
     both SNRs — they become the NaN holes in the published map.  The
-    cell's ±60° orientation offset comes from its own child generator,
-    so a cell's value never depends on how many cells ran before it
-    (or on which shard ran it).  Module-level so it pickles into
+    cell is traced once and each carrier is evaluated on those paths.
+    The cell's ±60° orientation offset comes from its own child
+    generator, so a cell's value never depends on how many cells ran
+    before it (or on which shard ran it).  Module-level so it pickles into
     :class:`~repro.engine.ProcessPool` workers.
     """
     xs, ys = grid_axes(grid_step_m)
@@ -101,10 +103,13 @@ def grid_cell_trial(rng: np.random.Generator, index: int,
         ap_orientation_rad=np.pi / 2.0,
     )
     carriers = np.linspace(24.0e9, 24.25e9, num_carriers + 2)[1:-1]
+    links = [OtamLink(placement=placement, room=room,
+                      frequency_hz=float(carrier)) for carrier in carriers]
+    paths = trace_paths(node, ap, room, max_bounces=links[0].max_bounces)
     wo_lin, w_lin = [], []
-    for carrier in carriers:
-        breakdown = OtamLink(placement=placement, room=room,
-                             frequency_hz=float(carrier)).snr_breakdown()
+    for link in links:
+        breakdown = link.snr_breakdown(
+            channel=link.channel_response(paths))
         wo_lin.append(float(db_to_linear(breakdown.no_otam_snr_db)))
         w_lin.append(float(db_to_linear(breakdown.otam_snr_db)))
     return {

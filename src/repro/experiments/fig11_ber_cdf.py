@@ -23,6 +23,7 @@ from typing import Any
 
 import numpy as np
 
+from ..channel.raytrace import trace_paths
 from ..core.link import OtamLink
 from ..engine import Campaign, ResultStore, ShardExecutor
 from ..sim.environment import Blocker, default_lab_room
@@ -70,17 +71,22 @@ def placement_trial(rng: np.random.Generator, index: int,
     clear — the mixture that produces the paper's long-tailed
     without-OTAM CDF.  BER is averaged over ``num_carriers`` carriers —
     each placement's channel was measured with frequency diversity, as
-    in Fig. 10.  Module-level (and closed over only picklable
+    in Fig. 10; the room is traced once and every carrier is evaluated
+    on the same paths.  Module-level (and closed over only picklable
     parameters) so it runs under a :class:`~repro.engine.ProcessPool`.
     """
     room = default_lab_room()
     room.add_blocker(Blocker(Point(*blocker_position)))
     placement = PlacementSampler(room, rng).sample()
     carriers = np.linspace(24.0e9, 24.25e9, num_carriers + 2)[1:-1]
+    links = [OtamLink(placement=placement, room=room,
+                      frequency_hz=float(carrier)) for carrier in carriers]
+    paths = trace_paths(placement.node_position, placement.ap_position,
+                        room, max_bounces=links[0].max_bounces)
     ber_w, ber_wo = [], []
-    for carrier in carriers:
-        breakdown = OtamLink(placement=placement, room=room,
-                             frequency_hz=float(carrier)).snr_breakdown()
+    for link in links:
+        breakdown = link.snr_breakdown(
+            channel=link.channel_response(paths))
         ber_w.append(breakdown.ber_with_otam())
         ber_wo.append(breakdown.ber_without_otam())
     return {

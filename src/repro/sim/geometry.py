@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Point",
     "Segment",
@@ -20,6 +22,7 @@ __all__ = [
     "reflect_point_across_line",
     "angle_of",
     "normalize_angle",
+    "normalize_angles",
     "distance",
 ]
 
@@ -160,3 +163,11 @@ def normalize_angle(theta: float) -> float:
     elif theta <= -math.pi:
         theta += 2.0 * math.pi
     return theta
+
+
+def normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """:func:`normalize_angle` over an array, element by element."""
+    theta = np.fmod(theta, 2.0 * math.pi)
+    return np.where(theta > math.pi, theta - 2.0 * math.pi,
+                    np.where(theta <= -math.pi, theta + 2.0 * math.pi,
+                             theta))

@@ -1,5 +1,7 @@
 """Tests for the mmX orthogonal beam pair (Fig. 8 properties)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.antenna.patterns import (
     pattern_orthogonality_db,
     peak_direction_deg,
 )
+from repro.core.link import OtamLink
 
 
 @pytest.fixture(params=["analytic", "measured"])
@@ -134,3 +137,26 @@ class TestParametricBeam:
         low = design_mmx_beams(frequency_hz=24.0e9)
         high = design_mmx_beams(frequency_hz=24.25e9)
         assert low.beam1.spacing_m > high.beam1.spacing_m
+
+
+class TestMeasuredBeamCache:
+    """``measured_mmx_beams`` builds each pair once per process."""
+
+    def test_repeated_calls_return_the_same_frozen_pair(self):
+        pair = measured_mmx_beams()
+        assert measured_mmx_beams() is pair
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.peak_gain_dbi = 9.0
+
+    def test_other_gain_is_another_pair(self):
+        other = measured_mmx_beams(peak_gain_dbi=9.0)
+        assert other is not measured_mmx_beams()
+        assert other.peak_gain_dbi == 9.0
+        assert measured_mmx_beams().peak_gain_dbi == 8.0
+
+    def test_links_share_the_pair_unless_given_one(self, placement, room):
+        default = OtamLink(placement=placement, room=room)
+        assert default.beams is measured_mmx_beams()
+        custom = design_mmx_beams()
+        link = OtamLink(placement=placement, room=room, beams=custom)
+        assert link.beams is custom

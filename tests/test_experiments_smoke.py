@@ -6,6 +6,7 @@ that renders return non-empty text, and that results are deterministic
 per seed.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,53 @@ class TestExperimentsRecord:
         for label, bers in expected.items():
             assert [documented(c) for c in rows[label][3:5]] == \
                 [printed(b) for b in bers], label
+
+    @staticmethod
+    def _measured_numbers(row: list[str]) -> list[str]:
+        """The decimal numbers in a row's "measured" (third) cell."""
+        return re.findall(r"\d+\.\d+", row[2])
+
+    def test_fig10_measured_column_matches_run(self):
+        rows = self._table_rows("Fig. 10")
+        assert rows["property"][2] == "measured"
+        result = fig10_snr_map.run()
+        with_otam = result.snr_with_otam_db
+        expected = {
+            "without OTAM: locations < 5 dB":
+                [f"{result.fraction_below_5db_without:.1%}"[:-1]],
+            "with OTAM: locations ≥ 10 dB":
+                [f"{result.fraction_above_10db_with:.1%}"[:-1],
+                 f"{np.nanmin(with_otam):.1f}"],
+            "with OTAM map maximum": [f"{np.nanmax(with_otam):.1f}"],
+        }
+        for label, numbers in expected.items():
+            assert self._measured_numbers(rows[label]) == numbers, label
+
+    def test_fig12_measured_column_matches_run(self):
+        rows = self._table_rows("Fig. 12")
+        assert rows["property"][2] == "measured"
+        result = fig12_range.run()
+        expected = {
+            "near-field SNR (~1 m)": [f"{result.snr_facing_db[0]:.1f}",
+                                      f"{result.snr_not_facing_db[0]:.1f}"],
+            "facing SNR at 18 m": [f"{result.snr_facing_at_max_m:.1f}"],
+            "not-facing SNR at 18 m":
+                [f"{result.snr_not_facing_at_max_m:.1f}"],
+        }
+        for label, numbers in expected.items():
+            assert self._measured_numbers(rows[label]) == numbers, label
+        facing_wins = bool(np.all(result.snr_facing_db
+                                  >= result.snr_not_facing_db))
+        assert rows["monotone decay, facing ≥ not facing"][2] == (
+            "yes" if result.monotone_decay() and facing_wins else "no")
+
+    def test_fig13_measured_column_matches_run(self):
+        rows = self._table_rows("Fig. 13")
+        assert rows["nodes"][2] == "measured mean SINR"
+        result = fig13_multinode.run()
+        for count, mean in zip(result.node_counts, result.mean_sinr_db):
+            assert self._measured_numbers(rows[str(count)]) == \
+                [f"{mean:.1f}"], count
 
 
 class TestDeterminism:
