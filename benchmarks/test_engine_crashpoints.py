@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -149,11 +150,20 @@ def test_fsck_report_artifact(tmp_path):
     after = fsck_path(path)
     assert after.exit_code == 0
 
+    def portable(report) -> dict:
+        """The report with paths relative to this test's tmp dir, so the
+        archived artifact is the same on every machine and every run."""
+        data = report.to_dict()
+        for key in ("path", "quarantine_path"):
+            if data[key] is not None:
+                data[key] = Path(data[key]).relative_to(tmp_path).as_posix()
+        return data
+
     OUTPUT_DIR.mkdir(exist_ok=True)
     artifact = OUTPUT_DIR / "engine-fsck-report.json"
     artifact.write_text(json.dumps(
-        {"found": before.to_dict(), "repaired": repaired.to_dict(),
-         "verified": after.to_dict()}, indent=1, sort_keys=True))
+        {"found": portable(before), "repaired": portable(repaired),
+         "verified": portable(after)}, indent=1, sort_keys=True))
     record("engine_fsck",
            f"short-write corruption at syscall {append_write}: fsck "
            f"found {len(before.issues)} issue(s), repaired via "

@@ -10,25 +10,14 @@ Commands
 ``chaos --ap-crash``       multi-AP failover vs a frozen single AP
 ``chaos ... --json``       same run, but emit the telemetry export (JSONL)
 ``chaos all --jobs N``     the scenario sweep across N worker processes
-``admission saturate``     offered-load saturation study: blocking
-                           probability vs load through the admission
-                           ladder (``--nodes``, ``--load``, ``--jobs``,
-                           ``--out``/``--resume``, ``--json``)
-``energy compare``         Table-1-style node-class comparison: the
-                           active node vs backscatter tags vs
-                           harvesting duty-cycled nodes (a
-                           repro.engine campaign; ``--replicates``,
-                           ``--jobs``, ``--out``/``--resume``,
-                           ``--json``)
-``energy outage``          energy-outage survival drill: a
-                           duty-cycled fleet rides a harvesting
-                           blackout; dormant nodes must not trip
-                           cluster failover (same campaign flags)
-``campaign EXPERIMENT``    run a sweep as a sharded, resumable campaign
-                           (``--jobs``, ``--shards``, ``--out``,
-                           ``--resume``; supervision via
-                           ``--max-retries``, ``--shard-timeout``,
-                           ``--on-failure fail|quarantine|degrade``)
+``campaign EXPERIMENT``    a figure sweep (fig10, fig11, fig13, chaos) as
+                           a campaign; supervised with ``--max-retries``,
+                           ``--shard-timeout``, ``--on-failure``
+``admission saturate``     blocking probability vs offered load (a campaign)
+``energy compare|outage``  node-class comparison / energy-outage drill
+                           (campaigns).  Campaign commands share ``--seed``,
+                           ``--jobs``, ``--shards``, ``--out``/``--resume``;
+                           saturate and energy add ``--json``.
 ``telemetry summarize F``  per-subsystem tables from a JSONL export
 ``telemetry flame F``      collapsed flamegraph stacks from a JSONL export
 ``fsck PATHS...``          scan campaign journals / AP checkpoints /
@@ -44,10 +33,13 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
+import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -62,7 +54,11 @@ __all__ = ["main", "build_parser"]
 def _add_campaign_flags(parser: argparse.ArgumentParser, jobs_help: str,
                         sharded: bool = True) -> None:
     """Declare ``--jobs`` and, for a ``sharded`` campaign command, the
-    ``--shards``/``--out``/``--resume`` flags that go with it."""
+    ``--seed``/``--shards``/``--out``/``--resume`` flags that go with
+    it."""
+    if sharded:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="campaign master seed")
     parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
     if not sharded:
         return
@@ -139,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "the stock sweep)")
     sat.add_argument("--replicates", type=int, default=4,
                      help="independent trials per load point")
-    sat.add_argument("--seed", type=int, default=0,
-                     help="campaign master seed")
     _add_campaign_flags(sat, "worker processes (1 = in-process serial; "
                              ">1 runs supervised)")
     sat.add_argument("--json", action="store_true", dest="as_json",
@@ -168,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         preset.add_argument("--replicates", type=int, default=4,
                             help="independent trials per node class "
                                  "(compare) or fleets (outage)")
-        preset.add_argument("--seed", type=int, default=0,
-                            help="campaign master seed")
         _add_campaign_flags(preset, "worker processes (1 = in-process "
                                     "serial; >1 runs supervised)")
         preset.add_argument("--json", action="store_true",
@@ -181,14 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run a figure sweep as a sharded, resumable campaign")
     camp.add_argument("experiment",
-                      choices=["fig10", "fig11", "fig13", "chaos"],
+                      choices=list(_PRESETS["campaign"]),
                       help="which sweep to run")
     camp.add_argument("--trials", type=int, default=None,
                       help="trial count (fig11: placements, fig13: "
                            "trials per node count; fig10's count is "
                            "its grid, chaos runs every scenario)")
-    camp.add_argument("--seed", type=int, default=0,
-                      help="campaign master seed")
     _add_campaign_flags(camp, "worker processes (1 = in-process serial)")
     camp.add_argument("--duration", type=float, default=30.0,
                       help="simulated seconds per scenario "
@@ -379,216 +369,180 @@ def _cmd_chaos(scenario: str, seed: int, duration: float,
     recorder = Recorder() if as_json else None
 
     if ap_crash:
-        outcome = chaos.run_failover(seed=seed, duration_s=duration,
-                                     telemetry=recorder)
-        if recorder is not None:
-            print(to_jsonl(recorder), end="")
-        else:
-            print(chaos.render_failover(outcome))
-        return 0
-    if scenario == "all":
-        outcomes = chaos.run_all(seed=seed, duration_s=duration,
-                                 telemetry=recorder,
-                                 executor=_build_executor(jobs))
-        if recorder is not None:
-            print(to_jsonl(recorder), end="")
-        else:
-            print(chaos.render_all(outcomes))
-        return 0
-    if scenario not in SCENARIOS:
+        text = chaos.render_failover(chaos.run_failover(
+            seed=seed, duration_s=duration, telemetry=recorder))
+    elif scenario == "all":
+        text = chaos.render_all(chaos.run_all(
+            seed=seed, duration_s=duration, telemetry=recorder,
+            executor=_build_executor(jobs)))
+    elif scenario in SCENARIOS:
+        text = chaos.render(chaos.run(scenario, seed=seed,
+                                      duration_s=duration,
+                                      telemetry=recorder))
+    else:
         print(f"unknown scenario {scenario!r}; choose from "
               f"{', '.join(sorted(SCENARIOS))} or 'all'",
               file=sys.stderr)
         return 2
-    outcome = chaos.run(scenario, seed=seed, duration_s=duration,
-                        telemetry=recorder)
     if recorder is not None:
         print(to_jsonl(recorder), end="")
     else:
-        print(chaos.render(outcome))
-    return 0
-
-
-def _cmd_admission_saturate(nodes: int, loads: list[float] | None,
-                            replicates: int, seed: int, jobs: int,
-                            shards: int | None, out: str | None,
-                            resume: bool, as_json: bool) -> int:
-    from .engine import EngineError, StoreError, SupervisionPolicy
-
-    if _invalid_flags(
-            "admission saturate", jobs, shards, out, resume,
-            checks=[(nodes < 1, "--nodes must be at least 1"),
-                    (replicates < 1, "--replicates must be at least 1"),
-                    (loads is not None and any(lo <= 0 for lo in loads),
-                     "--load points must be positive")]):
-        return 2
-
-    from .admission import default_config, render, run_saturation
-    from .admission.saturation import DEFAULT_LOADS
-
-    config = default_config(
-        loads=tuple(loads) if loads is not None else DEFAULT_LOADS,
-        replicates=replicates, arrivals=nodes)
-    executor = _build_executor(jobs, SupervisionPolicy())
-    try:
-        result = run_saturation(config, master_seed=seed,
-                                executor=executor,
-                                num_shards=shards, store=out)
-    except (EngineError, StoreError) as exc:
-        print(_campaign_diagnostic(exc, executor, out), file=sys.stderr)
-        return 2
-    if as_json:
-        import json
-
-        print(json.dumps(result.curve(), indent=2))
-    else:
-        print(render(result))
-    if out is not None:
-        print(f"\ncampaign store: {out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_energy(command: str, replicates: int, seed: int, jobs: int,
-                shards: int | None, out: str | None, resume: bool,
-                as_json: bool, bits: int | None = None,
-                nodes: int | None = None) -> int:
-    from .engine import EngineError, StoreError, SupervisionPolicy
-
-    if _invalid_flags(
-            f"energy {command}", jobs, shards, out, resume,
-            checks=[(replicates < 1, "--replicates must be at least 1"),
-                    (bits is not None and bits < 1,
-                     "--bits must be at least 1"),
-                    (nodes is not None and nodes < 1,
-                     "--nodes must be at least 1")]):
-        return 2
-
-    executor = _build_executor(jobs, SupervisionPolicy())
-    try:
-        if command == "compare":
-            from .energy import compare
-
-            result = compare.run_compare(
-                compare.default_config(
-                    replicates=replicates,
-                    num_bits=bits if bits is not None else 400),
-                master_seed=seed, executor=executor,
-                num_shards=shards, store=out)
-            payload: object = result.rows()
-            text = compare.render(result)
-        else:
-            from .energy import outage
-
-            fleet = outage.run_outage(
-                outage.default_config(
-                    nodes=nodes if nodes is not None else 6,
-                    replicates=replicates),
-                master_seed=seed, executor=executor,
-                num_shards=shards, store=out)
-            payload = fleet.summary()
-            text = outage.render(fleet)
-    except (EngineError, StoreError) as exc:
-        print(_campaign_diagnostic(exc, executor, out), file=sys.stderr)
-        return 2
-    if as_json:
-        import json
-
-        print(json.dumps(payload, indent=2))
-    else:
         print(text)
-    if out is not None:
-        print(f"\ncampaign store: {out}", file=sys.stderr)
     return 0
 
 
-def _cmd_campaign(experiment: str, trials: int | None, seed: int,
-                  jobs: int, shards: int | None, out: str | None,
-                  resume: bool, duration: float,
-                  max_retries: int | None = None,
-                  shard_timeout: float | None = None,
-                  on_failure: str | None = None) -> int:
+@dataclass(frozen=True)
+class _Preset:
+    """What one campaign command declares; :func:`_run_preset` does the
+    rest.  ``run`` gets ``module`` (imported when the command runs), the
+    parsed args and the engine keywords; ``supervised`` picks
+    ``SupervisionPolicy()`` over the pool's fail-fast default."""
+
+    module: str
+    run: Callable[..., Any]
+    render: Callable[[Any, Any], str] = lambda m, result: m.render(result)
+    payload: Callable[[Any], object] | None = None
+    checks: Callable[[Any], list[tuple[bool, str]]] = lambda a: []
+    supervised: bool = False
+
+
+_PRESETS: dict[str, dict[str, _Preset]] = {
+    "campaign": {
+        "fig10": _Preset(
+            "experiments.fig10_snr_map",
+            lambda m, a, **engine: m.run(seed=a.seed, **engine),
+            checks=lambda a: [(a.trials is not None,
+                               "fig10's trial count is its placement "
+                               "grid; --trials does not apply")]),
+        "fig11": _Preset(
+            "experiments.fig11_ber_cdf",
+            lambda m, a, **engine: m.run(
+                seed=a.seed, **engine, **({} if a.trials is None else
+                                          {"num_placements": a.trials}))),
+        "fig13": _Preset(
+            "experiments.fig13_multinode",
+            lambda m, a, **engine: m.run(
+                seed=a.seed, **engine, **({} if a.trials is None else
+                                          {"trials_per_count": a.trials}))),
+        "chaos": _Preset(
+            "experiments.chaos",
+            lambda m, a, store, **engine: m.run_all(
+                seed=a.seed, duration_s=a.duration, **engine),
+            render=lambda m, result: m.render_all(result),
+            checks=lambda a: [(a.out is not None, "chaos outcomes are rich "
+                               "objects, not JSON rows; --out is not "
+                               "supported for the chaos sweep")]),
+    },
+    "admission": {
+        "saturate": _Preset(
+            "admission.saturation",
+            lambda m, a, **engine: m.run_saturation(m.default_config(
+                loads=m.DEFAULT_LOADS if a.load is None else tuple(a.load),
+                replicates=a.replicates, arrivals=a.nodes),
+                master_seed=a.seed, **engine),
+            payload=lambda result: result.curve(),
+            checks=lambda a: [
+                (a.nodes < 1, "--nodes must be at least 1"),
+                (a.replicates < 1, "--replicates must be at least 1"),
+                (a.load is not None and any(lo <= 0 for lo in a.load),
+                 "--load points must be positive")],
+            supervised=True),
+    },
+    "energy": {
+        "compare": _Preset(
+            "energy.compare",
+            lambda m, a, **engine: m.run_compare(m.default_config(
+                replicates=a.replicates, num_bits=a.bits),
+                master_seed=a.seed, **engine),
+            payload=lambda result: result.rows(),
+            checks=lambda a: [
+                (a.replicates < 1, "--replicates must be at least 1"),
+                (a.bits < 1, "--bits must be at least 1")],
+            supervised=True),
+        "outage": _Preset(
+            "energy.outage",
+            lambda m, a, **engine: m.run_outage(m.default_config(
+                nodes=a.nodes, replicates=a.replicates),
+                master_seed=a.seed, **engine),
+            payload=lambda result: result.summary(),
+            checks=lambda a: [
+                (a.replicates < 1, "--replicates must be at least 1"),
+                (a.nodes < 1, "--nodes must be at least 1")],
+            supervised=True),
+    },
+}
+"""Command -> subcommand (``campaign``: experiment) -> its preset."""
+
+
+def _run_preset(args: argparse.Namespace) -> int:
+    """The one path every campaign command runs through.
+
+    Flag checks, the executor, the one-line failure diagnostic, text or
+    ``--json`` output, the ``campaign store:`` line and the supervision
+    report; ``campaign``'s ``--max-retries``/``--shard-timeout``/
+    ``--on-failure`` replace the preset's default policy.
+    """
     from .engine import EngineError, StoreError, SupervisionPolicy
 
-    if _invalid_flags(
-            "campaign", jobs, shards, out, resume,
-            checks=[(max_retries is not None and max_retries < 0,
-                     "--max-retries cannot be negative"),
-                    (shard_timeout is not None and shard_timeout <= 0,
-                     "--shard-timeout must be positive"),
-                    (out is not None and experiment == "chaos",
-                     "chaos outcomes are rich objects, not JSON rows; "
-                     "--out is not supported for the chaos sweep"),
-                    (trials is not None and experiment == "fig10",
-                     "fig10's trial count is its placement grid; "
-                     "--trials does not apply")]):
+    if args.command == "campaign":
+        command, name = "campaign", args.experiment
+    else:
+        name = getattr(args, f"{args.command}_command")
+        command = f"{args.command} {name}"
+    preset = _PRESETS[args.command][name]
+    retries = getattr(args, "max_retries", None)
+    timeout = getattr(args, "shard_timeout", None)
+    on_failure = getattr(args, "on_failure", None)
+    if _invalid_flags(command, args.jobs, args.shards, args.out,
+                      args.resume, checks=[
+                          (retries is not None and retries < 0,
+                           "--max-retries cannot be negative"),
+                          (timeout is not None and timeout <= 0,
+                           "--shard-timeout must be positive"),
+                          *preset.checks(args)]):
         return 2
-
-    policy = None
-    if (max_retries is not None or shard_timeout is not None
-            or on_failure is not None):
-        policy = SupervisionPolicy(
-            max_attempts=(max_retries + 1 if max_retries is not None
-                          else 3),
-            shard_timeout_s=shard_timeout,
-            on_failure=on_failure or "quarantine")
+    overridden = (retries, timeout, on_failure) != (None, None, None)
+    if overridden:
+        policy: SupervisionPolicy | None = SupervisionPolicy(
+            max_attempts=3 if retries is None else retries + 1,
+            shard_timeout_s=timeout, on_failure=on_failure or "quarantine")
+    else:
+        policy = SupervisionPolicy() if preset.supervised else None
     # A supervised run uses worker processes even at --jobs 1: only a
     # separate process can be timed out.
-    executor = _build_executor(jobs, policy,
-                               always_pool=policy is not None)
-
+    executor = _build_executor(args.jobs, policy, always_pool=overridden)
+    module = importlib.import_module(f".{preset.module}", __package__)
     try:
-        if experiment == "chaos":
-            from .experiments import chaos
-
-            print(chaos.render_all(chaos.run_all(
-                seed=seed, duration_s=duration, executor=executor,
-                num_shards=shards)))
-        elif experiment == "fig10":
-            from .experiments import fig10_snr_map
-
-            print(fig10_snr_map.render(fig10_snr_map.run(
-                seed=seed, executor=executor, num_shards=shards,
-                store=out)))
-        elif experiment == "fig11":
-            from .experiments import fig11_ber_cdf
-
-            print(fig11_ber_cdf.render(fig11_ber_cdf.run(
-                seed=seed,
-                num_placements=trials if trials is not None else 30,
-                executor=executor, num_shards=shards, store=out)))
-        elif experiment == "fig13":
-            from .experiments import fig13_multinode
-
-            print(fig13_multinode.render(fig13_multinode.run(
-                seed=seed,
-                trials_per_count=trials if trials is not None else 30,
-                executor=executor, num_shards=shards, store=out)))
+        result = preset.run(module, args, executor=executor,
+                            num_shards=args.shards, store=args.out)
+        if getattr(args, "as_json", False) and preset.payload is not None:
+            text = json.dumps(preset.payload(result), indent=2)
         else:
-            raise AssertionError("unreachable")
+            text = preset.render(module, result)
     except (EngineError, StoreError) as exc:
         # One line, diagnosable: what died, which shards, where the
         # journal lives — never a raw traceback.
-        print(_campaign_diagnostic(exc, executor, out), file=sys.stderr)
-        return 2
-    if out is not None:
-        print(f"\ncampaign store: {out}", file=sys.stderr)
-    report = getattr(executor, "last_report", None)
-    if report is not None and (report.retries or report.quarantined):
-        survived = (f"{report.retries} retr"
-                    f"{'y' if report.retries == 1 else 'ies'}")
-        if report.degraded:
-            survived += (", degraded shards "
-                         f"{sorted(report.degraded)} recovered "
-                         "in-process")
-        print(f"repro campaign: supervised run survived {survived}",
+        print(_campaign_diagnostic(command, exc, executor, args.out),
               file=sys.stderr)
-        abandoned = report.abandoned
-        if abandoned:
-            where = f"; journal: {out}" if out is not None else ""
-            print("repro campaign: partial result — quarantined "
-                  f"shards {sorted(abandoned)} never completed"
-                  f"{where}", file=sys.stderr)
-            return 1
+        return 2
+    print(text)
+    if args.out is not None:
+        print(f"\ncampaign store: {args.out}", file=sys.stderr)
+    report = getattr(executor, "last_report", None)
+    if report is None or not (report.retries or report.quarantined):
+        return 0
+    survived = f"{report.retries} retr{'y' if report.retries == 1 else 'ies'}"
+    if report.degraded:
+        survived += (f", degraded shards {sorted(report.degraded)} "
+                     "recovered in-process")
+    print(f"repro {command}: supervised run survived {survived}",
+          file=sys.stderr)
+    if report.abandoned:
+        where = f"; journal: {args.out}" if args.out is not None else ""
+        print(f"repro {command}: partial result — quarantined shards "
+              f"{sorted(report.abandoned)} never completed{where}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -634,10 +588,10 @@ def _build_executor(jobs: int, policy: SupervisionPolicy | None = None,
     return ProcessPool(jobs=jobs, policy=policy)
 
 
-def _campaign_diagnostic(exc: Exception, executor: object,
+def _campaign_diagnostic(command: str, exc: Exception, executor: object,
                          out: str | None) -> str:
-    """The one-line failure summary ``repro campaign`` prints."""
-    parts = [f"repro campaign: {type(exc).__name__}: {exc}"]
+    """The one-line failure summary a campaign command prints."""
+    parts = [f"repro {command}: {type(exc).__name__}: {exc}"]
     report = getattr(executor, "last_report", None)
     if report is not None and report.failures:
         failed = sorted({f.shard_id for f in report.failures})
@@ -674,8 +628,6 @@ def _cmd_telemetry(command: str, path: str) -> int:
 
 
 def _cmd_fsck(paths: list[str], repair: bool, as_json: bool) -> int:
-    import json
-
     from .durability import fsck_paths
 
     reports, exit_code = fsck_paths(paths, repair=repair)
@@ -749,23 +701,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "chaos":
         return _cmd_chaos(args.scenario, args.seed, args.duration,
                           args.ap_crash, args.as_json, args.jobs)
-    if args.command == "admission":
-        return _cmd_admission_saturate(args.nodes, args.load,
-                                       args.replicates, args.seed,
-                                       args.jobs, args.shards, args.out,
-                                       args.resume, args.as_json)
-    if args.command == "energy":
-        return _cmd_energy(args.energy_command, args.replicates,
-                           args.seed, args.jobs, args.shards, args.out,
-                           args.resume, args.as_json,
-                           bits=getattr(args, "bits", None),
-                           nodes=getattr(args, "nodes", None))
-    if args.command == "campaign":
-        return _cmd_campaign(args.experiment, args.trials, args.seed,
-                             args.jobs, args.shards, args.out,
-                             args.resume, args.duration,
-                             args.max_retries, args.shard_timeout,
-                             args.on_failure)
+    if args.command in _PRESETS:
+        return _run_preset(args)
     if args.command == "telemetry":
         return _cmd_telemetry(args.telemetry_command, args.path)
     if args.command == "fsck":

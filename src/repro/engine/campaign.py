@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..telemetry import NullRecorder, TelemetryRecorder
-from .plan import CampaignPlan
+from .plan import CampaignPlan, trial_identity
 from .policy import EngineError, SupervisionReport
 from .pool import SerialExecutor, ShardExecutor
 from .shard import ShardResult, TrialFn, TrialResult
@@ -144,7 +144,8 @@ class Campaign:
         self.trial_fn = trial_fn
         self.plan = CampaignPlan.build(master_seed=master_seed,
                                        num_trials=num_trials,
-                                       num_shards=num_shards)
+                                       num_shards=num_shards,
+                                       trial=trial_identity(trial_fn))
         self.executor: ShardExecutor = (executor if executor is not None
                                         else SerialExecutor())
         self.store = (store if isinstance(store, ResultStore)

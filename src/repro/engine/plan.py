@@ -9,21 +9,51 @@ campaign's randomness and partitioning, fixed before any trial runs:
 * trials are partitioned into contiguous, balanced shards in index
   order, so merging shard outputs back in shard order recovers the
   serial trial order with a plain concatenation;
-* the plan's SHA-256 :meth:`~CampaignPlan.fingerprint` binds a result
-  store to the exact campaign that produced it — a resume against a
-  journal written by a different seed, trial count or shard layout is
-  rejected instead of silently mixing results.
+* the plan's SHA-256 :meth:`~CampaignPlan.fingerprint` and its
+  :attr:`~CampaignPlan.trial` identity bind a result store to the exact
+  campaign that produced it — a resume against a journal written by a
+  different seed, trial count, shard layout, trial function or trial
+  parameters is rejected instead of silently mixing results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from typing import Any
 
 import numpy as np
 
-__all__ = ["CampaignPlan", "ShardSpec", "TrialSpec"]
+__all__ = ["CampaignPlan", "ShardSpec", "TrialSpec", "trial_identity"]
+
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
+
+
+def trial_identity(trial_fn: Callable[..., Any]) -> str:
+    """What a trial function computes, as a resume check compares it.
+
+    The function's module and qualified name, followed by the
+    positional and keyword arguments a :func:`functools.partial` binds
+    (nested partials unwrap), each written as its ``repr`` with numpy
+    arrays in full and memory addresses removed — so the same function
+    with the same parameters gives the same string in every process.
+    """
+    if isinstance(trial_fn, partial):
+        with np.printoptions(threshold=sys.maxsize):
+            bound = [repr(arg) for arg in trial_fn.args]
+            bound += [f"{key}={value!r}" for key, value
+                      in sorted(trial_fn.keywords.items())]
+        args = _ADDRESS.sub("", ", ".join(bound))
+        return f"{trial_identity(trial_fn.func)}({args})"
+    kind = type(trial_fn)
+    module = getattr(trial_fn, "__module__", None) or kind.__module__
+    name = getattr(trial_fn, "__qualname__", None) or kind.__qualname__
+    return f"{module}.{name}"
 
 
 @dataclass(frozen=True)
@@ -55,6 +85,10 @@ class CampaignPlan:
     num_trials: int
     num_shards: int
     shards: tuple[ShardSpec, ...]
+    trial: str = ""
+    """:func:`trial_identity` of the campaign's trial function; empty
+    for a plan built without one, whose resume checks the fingerprint
+    alone."""
 
     @staticmethod
     def child_seeds(master_seed: int, count: int) -> list[int]:
@@ -66,7 +100,7 @@ class CampaignPlan:
 
     @classmethod
     def build(cls, master_seed: int = 0, num_trials: int = 1,
-              num_shards: int = 1) -> CampaignPlan:
+              num_shards: int = 1, trial: str = "") -> CampaignPlan:
         """Partition ``num_trials`` seeded trials into balanced shards.
 
         ``num_shards`` is clamped to the trial count (no empty shards);
@@ -90,7 +124,7 @@ class CampaignPlan:
                                     trials=trials[start:start + size]))
             start += size
         return cls(master_seed=master_seed, num_trials=num_trials,
-                   num_shards=effective, shards=tuple(shards))
+                   num_shards=effective, shards=tuple(shards), trial=trial)
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSON form of the whole plan.
@@ -98,7 +132,7 @@ class CampaignPlan:
         Covers every seed and the shard partition, so any change to the
         master seed, trial count or shard layout produces a different
         fingerprint — the key a :class:`~repro.engine.store.ResultStore`
-        validates on resume.
+        validates on resume, together with :attr:`trial`.
         """
         state = {
             "master_seed": self.master_seed,

@@ -26,8 +26,9 @@ model:
   reported on :attr:`ResultStore.last_scan`, and re-run — never merged
   and never silently mixed with good shards (``repro fsck`` repairs
   the file in place);
-* a journal written by a *different* campaign (other seed, trial count
-  or shard layout) fails the fingerprint check and is rejected with
+* a journal written by a *different* campaign (other seed, trial count,
+  shard layout, trial function or trial parameters) fails the
+  fingerprint or trial check and is rejected with
   :class:`StoreError` rather than partially reused, as is a journal
   whose header is unreadable (with no trustworthy header, nothing
   below it can be attributed to this campaign).
@@ -105,6 +106,7 @@ class ResultStore:
             "master_seed": plan.master_seed,
             "num_trials": plan.num_trials,
             "num_shards": plan.num_shards,
+            "trial": plan.trial,
         }
         atomic_replace(self.path, canonical_json(header) + "\n",
                        fs=self.fs)
@@ -265,14 +267,22 @@ class ResultStore:
 
     def _check_header(self, header: dict[str, Any],
                       plan: CampaignPlan | None) -> dict[str, Any]:
-        """Campaign-identity check (the scanner did the structure)."""
-        if plan is not None \
-                and header.get("fingerprint") != plan.fingerprint():
+        """Campaign-identity check (the scanner did the structure).
+
+        A plan with a :attr:`~CampaignPlan.trial` identity also needs
+        the header's to match; a journal written before the header
+        carried one never does.
+        """
+        if plan is None:
+            return header
+        if header.get("fingerprint") != plan.fingerprint() \
+                or (plan.trial and header.get("trial") != plan.trial):
             raise StoreError(
                 f"{self.path} was written by a different campaign "
                 f"(seed {header.get('master_seed')!r}, "
                 f"{header.get('num_trials')!r} trials, "
-                f"{header.get('num_shards')!r} shards); refusing to "
+                f"{header.get('num_shards')!r} shards, "
+                f"trial {header.get('trial')!r}); refusing to "
                 "resume — remove the file or change --out")
         return header
 

@@ -126,18 +126,23 @@ def run_orthogonality(seed: int = 0,
                                     fraction=float(rng.uniform(0.3, 0.7)),
                                     rng=rng)
                 for p in placements]
-    fractions = {}
-    for name, beams in designs.items():
-        ambiguous = 0
-        for placement, blocker in zip(placements, blockers):
-            room.clear_blockers()
-            room.add_blocker(blocker)
-            link = OtamLink(placement=placement, room=room, beams=beams)
-            breakdown = link.snr_breakdown()
+    ambiguous = dict.fromkeys(designs, 0)
+    for placement, blocker in zip(placements, blockers):
+        room.clear_blockers()
+        room.add_blocker(blocker)
+        links = {name: OtamLink(placement=placement, room=room, beams=beams)
+                 for name, beams in designs.items()}
+        # Both designs see the same room: trace it once.
+        paths = trace_paths(placement.node_position, placement.ap_position,
+                            room, max_bounces=links["orthogonal"].max_bounces)
+        for name, link in links.items():
+            breakdown = link.snr_breakdown(
+                channel=link.channel_response(paths))
             if breakdown.ask_contrast_db < AMBIGUITY_THRESHOLD_DB:
-                ambiguous += 1
-        fractions[name] = ambiguous / num_placements
+                ambiguous[name] += 1
     room.clear_blockers()
+    fractions = {name: count / num_placements
+                 for name, count in ambiguous.items()}
     return OrthogonalityAblation(
         ambiguous_fraction_orthogonal=fractions["orthogonal"],
         ambiguous_fraction_non_orthogonal=fractions["non_orthogonal"],
@@ -353,15 +358,17 @@ def run_oracle_comparison(seed: int = 0, num_placements: int = 120,
                 placement.node_position, placement.ap_position,
                 fraction=float(rng.uniform(0.3, 0.7)), rng=rng))
         link = OtamLink(placement=placement, room=room)
-        breakdown = link.snr_breakdown()
+        traced = trace_paths(placement.node_position,
+                             placement.ap_position, room,
+                             max_bounces=link.max_bounces)
+        breakdown = link.snr_breakdown(
+            channel=link.channel_response(traced))
         otam_snr = breakdown.otam_snr_db
 
         # Oracle: evaluate every codebook beam through the same traced
         # channel; take the best.  Gain above the mmX arrays' 8 dBi is
         # credited relative to the same EIRP budget.
-        paths = PathArrays.of(trace_paths(
-            placement.node_position, placement.ap_position, room,
-            max_bounces=link.max_bounces))
+        paths = PathArrays.of(traced)
         best_level = float("-inf")
         for pattern in steered:
             gain = beam_channel_gain(

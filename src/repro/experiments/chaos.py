@@ -142,29 +142,20 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
     spans stack side by side on a single cumulative sim-time axis —
     exactly the shape the flamegraph export collapses.
 
-    ``executor`` (optional) fans the scenarios out through
-    :class:`repro.engine.Campaign` — e.g. ``ProcessPool(jobs=4)`` runs
-    four scenarios at once.  Results are bit-identical to the serial
-    sweep (each scenario derives everything from ``seed``), and each
-    worker's telemetry snapshot is shifted onto the shared recorder's
-    cumulative clock and absorbed in scenario order, so the merged
-    timeline matches the serial one span-for-span and event-for-event
-    (same ids, nesting, order, values).  Timestamps alone can differ
-    in the last ulp: the serial clock folds float time-steps across
-    scenario boundaries, while the merge computes offset + local time.
+    The sweep is a :class:`repro.engine.Campaign` with one trial per
+    scenario: in-process by default, ``executor=ProcessPool(jobs=4)``
+    runs four scenarios at once.  Each scenario derives everything from
+    ``seed`` and records into its own recorder, whose snapshot is
+    shifted onto the shared recorder's cumulative clock and absorbed in
+    scenario order, so results and the telemetry export are
+    byte-identical whichever executor and shard count ran the sweep.
     No result store rides along: scenario outcomes are rich objects,
     not JSON rows, and the sweep is seconds long.
     """
+    from ..engine import Campaign
     from ..faults import SCENARIOS
 
     names = tuple(sorted(SCENARIOS))
-    if executor is None:
-        return [run(name, seed=seed, duration_s=duration_s,
-                    quiet_tail_s=quiet_tail_s, distance_m=distance_m,
-                    telemetry=telemetry)
-                for name in names]
-    from ..engine import Campaign
-
     tel = telemetry
     trial_fn = partial(scenario_trial, scenario_names=names, seed=seed,
                        duration_s=duration_s, quiet_tail_s=quiet_tail_s,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..channel.raytrace import trace_paths
 from ..core.link import OtamLink
 from ..sim.environment import Room
 from ..sim.placement import PlacementSampler
@@ -75,12 +76,17 @@ def run(max_distance_m: float = 18.0, num_points: int = 12,
     for d in distances:
         for scenario, out in ((True, facing), (False, not_facing)):
             placement = sampler.at_distance(float(d), facing=scenario)
-            snrs_linear = []
-            for carrier in carriers:
-                link = OtamLink(placement=placement, room=room,
-                                frequency_hz=float(carrier))
-                snrs_linear.append(
-                    float(db_to_linear(link.snr_breakdown().otam_snr_db)))
+            links = [OtamLink(placement=placement, room=room,
+                              frequency_hz=float(carrier))
+                     for carrier in carriers]
+            # Geometry does not depend on the carrier: trace once.
+            paths = trace_paths(placement.node_position,
+                                placement.ap_position, room,
+                                max_bounces=links[0].max_bounces)
+            snrs_linear = [
+                float(db_to_linear(link.snr_breakdown(
+                    channel=link.channel_response(paths)).otam_snr_db))
+                for link in links]
             out.append(float(linear_to_db(np.mean(snrs_linear))))
     return Fig12Result(distances_m=distances,
                        snr_facing_db=np.asarray(facing),

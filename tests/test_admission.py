@@ -423,6 +423,16 @@ class TestSaturationCampaign:
             run_saturation(config, master_seed=7, executor=pool,
                            num_shards=2)
 
+    def test_resume_refuses_other_trial_parameters(self, tmp_path):
+        from repro.engine import StoreError
+
+        store = tmp_path / "saturation.jsonl"
+        run_saturation(default_config(loads=(1.0,), replicates=1,
+                                      arrivals=40), store=store)
+        with pytest.raises(StoreError, match="different campaign"):
+            run_saturation(default_config(loads=(1.0,), replicates=1,
+                                          arrivals=41), store=store)
+
     def test_blocking_grows_with_load(self):
         config = SaturationConfig(loads=(0.25, 8.0), replicates=2,
                                   arrivals=150)

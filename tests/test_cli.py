@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import _reproduce_registry, build_parser, main
+from repro.cli import _PRESETS, _reproduce_registry, build_parser, main
 
 
 class TestParser:
@@ -216,10 +216,6 @@ class TestCommands:
                      "--out", store, "--resume"]) == 2
         assert "different campaign" in capsys.readouterr().err
 
-    def test_campaign_resume_needs_out(self, capsys):
-        assert main(["campaign", "fig11", "--resume"]) == 2
-        assert "--out" in capsys.readouterr().err
-
     def test_campaign_fig10_rejects_trials(self, capsys):
         assert main(["campaign", "fig10", "--trials", "9"]) == 2
         assert "grid" in capsys.readouterr().err
@@ -228,10 +224,6 @@ class TestCommands:
         out = str(tmp_path / "chaos.jsonl")
         assert main(["campaign", "chaos", "--out", out]) == 2
         assert "not supported" in capsys.readouterr().err
-
-    def test_campaign_bad_jobs_and_shards_fail(self, capsys):
-        assert main(["campaign", "fig11", "--jobs", "0"]) == 2
-        assert main(["campaign", "fig11", "--shards", "0"]) == 2
 
     def test_campaign_bad_supervision_knobs_fail(self, capsys):
         assert main(["campaign", "fig11", "--max-retries", "-1"]) == 2
@@ -424,18 +416,8 @@ class TestAdmissionSaturate:
     def test_bad_flags_fail(self, capsys):
         assert main(["admission", "saturate", "--nodes", "0"]) == 2
         assert "--nodes" in capsys.readouterr().err
-        assert main(["admission", "saturate", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
         assert main(["admission", "saturate", "--load", "-1"]) == 2
         assert "positive" in capsys.readouterr().err
-        assert main(["admission", "saturate", "--resume"]) == 2
-        assert "--out" in capsys.readouterr().err
-
-    def test_existing_store_needs_resume(self, tmp_path, capsys):
-        store = tmp_path / "sat.jsonl"
-        store.write_text("")
-        assert main(["admission", "saturate", "--out", str(store)]) == 2
-        assert "--resume" in capsys.readouterr().err
 
     def test_store_and_resume_roundtrip(self, tmp_path, capsys):
         store = tmp_path / "sat.jsonl"
@@ -497,20 +479,10 @@ class TestEnergyCommands:
     def test_bad_flags_fail(self, capsys):
         assert main(["energy", "compare", "--replicates", "0"]) == 2
         assert "--replicates" in capsys.readouterr().err
-        assert main(["energy", "compare", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
         assert main(["energy", "compare", "--bits", "0"]) == 2
         assert "--bits" in capsys.readouterr().err
         assert main(["energy", "outage", "--nodes", "0"]) == 2
         assert "--nodes" in capsys.readouterr().err
-        assert main(["energy", "compare", "--resume"]) == 2
-        assert "--out" in capsys.readouterr().err
-
-    def test_existing_store_needs_resume(self, tmp_path, capsys):
-        store = tmp_path / "energy.jsonl"
-        store.write_text("")
-        assert main(["energy", "compare", "--out", str(store)]) == 2
-        assert "--resume" in capsys.readouterr().err
 
     def test_store_and_resume_roundtrip(self, tmp_path, capsys):
         store = tmp_path / "compare.jsonl"
@@ -520,3 +492,65 @@ class TestEnergyCommands:
         first = capsys.readouterr().out
         assert main(argv + ["--resume"]) == 0
         assert capsys.readouterr().out == first
+
+
+PRESET_COMMANDS = [[command, name] for command, presets in _PRESETS.items()
+                   for name in presets]
+
+
+class TestCampaignPresets:
+    """Every campaign command runs through the one preset path."""
+
+    def test_table_covers_every_campaign_command(self):
+        assert [" ".join(argv) for argv in PRESET_COMMANDS] == [
+            "campaign fig10", "campaign fig11", "campaign fig13",
+            "campaign chaos", "admission saturate", "energy compare",
+            "energy outage"]
+        assert build_parser().parse_args(
+            ["campaign", "fig11"]).experiment == "fig11"
+
+    @pytest.mark.parametrize("argv", PRESET_COMMANDS,
+                             ids=["-".join(a) for a in PRESET_COMMANDS])
+    @pytest.mark.parametrize("flags,message", [
+        (["--jobs", "0"], "--jobs must be at least 1"),
+        (["--shards", "0"], "--shards must be at least 1"),
+        (["--resume"], "--resume needs --out"),
+        (["--out", "EXISTING"], "already exists; pass --resume"),
+    ], ids=["jobs", "shards", "resume-without-out", "existing-out"])
+    def test_shared_flag_checks(self, tmp_path, capsys, argv, flags,
+                                message):
+        existing = tmp_path / "journal.jsonl"
+        existing.write_text("")
+        flags = [str(existing) if f == "EXISTING" else f for f in flags]
+        if argv == ["campaign", "chaos"] and "--out" in flags:
+            # The sweep's own check refuses any --out before the pairing.
+            message = "--out is not supported for the chaos sweep"
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "campaign" if argv[0] == "campaign" else " ".join(argv)
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"repro {prefix}: ")
+        assert message in line
+
+    @pytest.mark.parametrize("argv,changed", [
+        (["admission", "saturate", "--nodes", "40", "--replicates", "1",
+          "--load", "1.0"], ["--nodes", "400"]),
+        (["energy", "compare", "--replicates", "1", "--bits", "64"],
+         ["--bits", "65"]),
+        (["energy", "outage", "--replicates", "1", "--nodes", "2"],
+         ["--nodes", "3"]),
+    ], ids=["admission-saturate", "energy-compare", "energy-outage"])
+    def test_resume_with_other_trial_parameters_fails(
+            self, tmp_path, capsys, argv, changed):
+        store = str(tmp_path / "journal.jsonl")
+        assert main(argv + ["--out", store]) == 0
+        capsys.readouterr()
+        assert main(argv + changed + ["--out", store, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [diagnostic] = captured.err.splitlines()
+        assert diagnostic.startswith(
+            f"repro {argv[0]} {argv[1]}: StoreError: ")
+        assert "different campaign" in diagnostic
+        assert f"journal: {store}" in diagnostic

@@ -34,6 +34,7 @@ from repro.engine import (
     run_campaign,
     run_shard,
 )
+from repro.engine.plan import trial_identity
 from repro.telemetry import Recorder
 from repro.telemetry.export import to_jsonl
 
@@ -50,6 +51,10 @@ def serial_sweep(trial_fn, num_trials, master_seed):
 def uniform_trial(rng, index):
     """Module-level so ProcessPool workers can unpickle it."""
     return {"x": float(rng.uniform()), "index": index}
+
+
+def scaled_trial(rng, index, scale):
+    return {"x": scale * float(rng.uniform())}
 
 
 def failing_trial(rng, index):
@@ -286,6 +291,27 @@ class TestResultStore:
             run_campaign(uniform_trial, 7, master_seed=0, num_shards=3,
                          store=store_path)
 
+    def test_other_trial_parameters_rejected(self, tmp_path):
+        """The seeds and shards match; what the trials compute does not."""
+        store_path = tmp_path / "campaign.jsonl"
+        run_campaign(functools.partial(scaled_trial, scale=1.0), 4,
+                     num_shards=2, store=store_path)
+        for other in (functools.partial(scaled_trial, scale=2.0),
+                      uniform_trial):
+            with pytest.raises(StoreError, match="different campaign"):
+                run_campaign(other, 4, num_shards=2, store=store_path)
+        resumed = run_campaign(functools.partial(scaled_trial, scale=1.0),
+                               4, num_shards=2, store=store_path)
+        assert resumed.executed_shards == ()
+
+    def test_trial_identity_is_canonical(self):
+        bound = functools.partial(
+            functools.partial(scaled_trial, scale=0.5), marker=object())
+        identity = trial_identity(bound)
+        assert identity.startswith(f"{__name__}.scaled_trial(")
+        assert "scale=0.5" in identity and " at 0x" not in identity
+        assert trial_identity(bound) == identity
+
     def test_non_json_values_rejected_at_journal_time(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
 
@@ -448,3 +474,16 @@ class TestExperimentCampaigns:
             == [r.scenario for r in serial]
         assert [r.result.adaptive_delivery_ratio for r in sharded] \
             == [r.result.adaptive_delivery_ratio for r in serial]
+
+    def test_chaos_sweep_export_independent_of_executor(self):
+        """One trial loop: the default sweep's telemetry export is the
+        sharded sweep's, byte for byte (timestamps included)."""
+        from repro.experiments import chaos
+
+        exports = []
+        for engine in ({}, {"executor": SerialExecutor(), "num_shards": 3}):
+            recorder = Recorder()
+            chaos.run_all(seed=1, duration_s=4.0, quiet_tail_s=1.0,
+                          telemetry=recorder, **engine)
+            exports.append(to_jsonl(recorder))
+        assert exports[0] == exports[1]

@@ -7,6 +7,7 @@ per seed.
 """
 
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,9 @@ from repro.experiments import (
     fig13_multinode,
     table1,
 )
+from repro.antenna import half_power_beamwidth_deg, pattern_orthogonality_db
+from repro.antenna.orthogonal import measured_mmx_beams
+from repro.channel import raytrace
 from repro.experiments.report import ascii_heatmap, cdf_points, format_table
 
 
@@ -202,6 +206,128 @@ class TestExperimentsRecord:
         for count, mean in zip(result.node_counts, result.mean_sinr_db):
             assert self._measured_numbers(rows[str(count)]) == \
                 [f"{mean:.1f}"], count
+
+    @staticmethod
+    def _numbers(cell: str) -> list[str]:
+        """Every number in a cell, signed with an ASCII minus."""
+        return re.findall(r"-?\d+(?:\.\d+)?", cell.replace("−", "-"))
+
+    def test_fig08_measured_column_matches_run(self):
+        rows = self._table_rows("Fig. 8")
+        assert rows["property"][2] == "measured"
+        result = fig08_patterns.run()
+        fit = measured_mmx_beams()
+        coverage = ablations.run_orthogonality(
+            num_placements=1).coverage_angle_orthogonal_deg
+        expected = {  # render() prints these with format_table's .3g
+            "Beam 1 peak": [f"{result.beam1_peak_deg:.3g}"],
+            "Beam 0 peaks": [f"{result.beam0_peak_abs_deg:.3g}"],
+            "mutual nulls": [f"{result.beam1_depth_at_beam0_peak_db:.3g}",
+                             f"{result.beam0_depth_at_beam1_peak_db:.3g}"],
+            "azimuth 3 dB beamwidth": [
+                f"{result.beam1_beamwidth_deg:.3g}",
+                f"{half_power_beamwidth_deg(fit.beam1):.0f}"],
+            "field of view": [f"{coverage:.0f}"],
+        }
+        for label, numbers in expected.items():
+            measured = self._numbers(rows[label][2])
+            assert measured[:len(numbers)] == numbers, label
+        bound = float(self._numbers(rows["mutual nulls"][2])[-1])
+        assert max(pattern_orthogonality_db(fit.beam1, fit.beam0),
+                   pattern_orthogonality_db(fit.beam0, fit.beam1)) < bound
+
+    def test_fig09_measured_column_matches_run(self):
+        rows = self._table_rows("Fig. 9")
+        assert rows["claim"][2] == "measured"
+        result = fig09_waveforms.run()
+        for label, case in [
+                ("distinct-loss capture decodes via ASK", result.ask_case),
+                ("equal-loss capture decodes via FSK", result.fsk_case)]:
+            assert rows[label][2] == (f"{case.decoded_branch.upper()} "
+                                      f"branch, {case.bit_errors} bit "
+                                      "errors"), label
+        expected = {
+            "chance both beams see the same loss":
+                f"{result.ambiguous_fraction:.1%}",
+            "those placements still decodable":
+                f"{result.ambiguous_decoded_fraction:.1%}",
+        }
+        for label, printed in expected.items():
+            assert self._numbers(rows[label][2])[0] == printed[:-1], label
+
+    def test_table1_rows_match_run(self):
+        rows = self._table_rows("Table 1")
+        assert rows["check"][2] == "measured"
+        result = table1.run()
+        mmx, wifi, bt = (result.row(name)
+                         for name in ("mmX", "WiFi", "Bluetooth"))
+        mmwave = [result.row(name) for name in ("MiRa", "OpenMili")]
+        # The mmX row's paper figures, at the precision render() prints.
+        printed = [f"{mmx.cost_usd:,.0f}", f"{mmx.power_w:.3g}",
+                   f"{mmx.tx_power_dbm:.0f}",
+                   f"{mmx.bandwidth_hz / 1e6:.0f}",
+                   f"{mmx.bitrate_bps / 1e6:.0f}",
+                   f"{mmx.energy_per_bit_j * 1e9:.1f}",
+                   f"{mmx.range_m:.0f}"]
+        assert [float(n) for n in self._numbers(rows["mmX row"][1])] \
+            == [float(p) for p in printed]
+        assert rows["mmX row"][2].startswith("identical")
+
+        def verdict(label: str) -> str:
+            return rows[label][2].split()[0]
+
+        def yes(holds: bool) -> str:
+            return "yes" if holds else "no"
+
+        assert verdict("mmX cheapest mmWave platform") \
+            == yes(result.mmx_cheapest_mmwave)
+        assert self._numbers(rows["mmX cheapest mmWave platform"][2]) \
+            == [f"{result.row('MiRa').cost_usd / mmx.cost_usd:.0f}"]
+        assert verdict("mmX lowest-power mmWave platform") \
+            == yes(result.mmx_lowest_power_mmwave)
+        energy = "mmX energy/bit < WiFi (17.5 nJ) and Bluetooth (29 nJ)"
+        assert [float(n) for n in self._numbers(energy)] == [
+            float(f"{s.energy_per_bit_j * 1e9:.1f}") for s in (wifi, bt)]
+        assert verdict(energy) == yes(
+            mmx.energy_per_bit_j < min(wifi.energy_per_bit_j,
+                                       bt.energy_per_bit_j))
+        assert verdict("bitrate ordering BT < mmX ≈ WiFi < MiRa/OpenMili") \
+            == yes(bt.bitrate_bps < min(mmx.bitrate_bps, wifi.bitrate_bps)
+                   and max(mmx.bitrate_bps, wifi.bitrate_bps)
+                   < min(s.bitrate_bps for s in mmwave))
+
+
+@pytest.fixture
+def trace_calls(monkeypatch):
+    """Count ``trace_paths`` calls through every module that imports it."""
+    original = raytrace.trace_paths
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "trace_paths", None) is original:
+            monkeypatch.setattr(module, "trace_paths", counting)
+    return calls
+
+
+class TestTraceOncePerPlacement:
+    """Geometry does not depend on the carrier or the beam design."""
+
+    def test_fig12_traces_each_point_once(self, trace_calls):
+        fig12_range.run(num_points=2, num_carriers=3)
+        assert len(trace_calls) == 4  # 2 distances x 2 orientations
+
+    def test_oracle_traces_each_placement_once(self, trace_calls):
+        ablations.run_oracle_comparison(num_placements=3)
+        assert len(trace_calls) == 3
+
+    def test_orthogonality_traces_each_placement_once(self, trace_calls):
+        ablations.run_orthogonality(num_placements=3)
+        assert len(trace_calls) == 3
 
 
 class TestDeterminism:
